@@ -15,16 +15,18 @@
 //! Two execution shapes, mirroring the in-process engines:
 //!
 //! - **SGD MF** (2-D unordered, paper Fig. 8): node `w` owns space
-//!   partition `w` of `W`; partitions of `H` rotate peer-to-peer along
-//!   the compiled forwarding edges, exactly as
-//!   [`orion_runtime::run_grid_pass_pooled`] moves them between
-//!   threads. At the end of every epoch each partition is *re-homed*
-//!   to its pass-start owner so the next epoch seeds the same queues.
-//! - **SLR** (1-D data parallel, §3.3/§4.4): nodes are stateless; the
-//!   coordinator serves the weight array, answers bulk-prefetch
-//!   requests from the pass-start snapshot, and applies the buffered
-//!   updates in node order — the same order the simulated pass applies
-//!   its per-worker buffers.
+//!   partition `w` of `W` and runs worker `w`'s program through
+//!   [`orion_runtime::run_program`], the interpreter the thread pool
+//!   uses, with peer sockets in place of channels; partitions of `H`
+//!   rotate along the program's `Send`/`Recv` steps. At the end of
+//!   every epoch each partition is *re-homed* to its pass-start owner
+//!   so the next epoch starts from the same slots.
+//! - **SLR** (1-D data parallel, §3.3/§4.4): nodes are stateless; each
+//!   runs its program's blocks through the same interpreter into a
+//!   buffer pinned in its own slot. The coordinator serves the weight
+//!   array, answers bulk-prefetch requests from the pass-start
+//!   snapshot, and applies the buffered updates in node order — the
+//!   same order the simulated pass applies its per-worker buffers.
 //!
 //! Fault tolerance reuses the PR-3 checkpoint machinery
 //! ([`CheckpointPolicy`] naming): MF nodes persist epoch-tagged
@@ -35,7 +37,7 @@
 //! stays the conformance oracle: same seed, same plan → bit-identical
 //! model state (enforced by `tests/distributed_conformance.rs`).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,7 +53,7 @@ use orion_net::{
     plan_fingerprint, ClusterConfig, Coordinator, EpochStats, Msg, NetError, NodeConfig,
     NodeEndpoint, PartRecv, ENV_COORD, ENV_NODES, ENV_NODE_ID, ENV_ROLE,
 };
-use orion_runtime::{HbEvent, ThreadedPlan};
+use orion_runtime::{run_program, HbEvent, ThreadPhase, ThreadSpan, ThreadedPlan, Transport};
 
 use crate::sgd_mf::{mf_spec, MfConfig, MfModel};
 use crate::slr::{self, SlrConfig, SlrModel};
@@ -162,6 +164,9 @@ pub struct DistRunResult<M> {
     /// Protocol messages seen by the coordinator, in order (empty
     /// unless [`DistOptions::record_msgs`] was set).
     pub msg_log: Vec<orion_net::MsgRecord>,
+    /// The plan every node compiled (the handshake verified its
+    /// fingerprint); node `w` ran `plan.programs()[w]` each epoch.
+    pub plan: Arc<ThreadedPlan>,
 }
 
 // ---------------------------------------------------------------------
@@ -213,6 +218,113 @@ fn inject_crash(workdir: &Path, run_id: &str, node: usize) -> ! {
 fn ckpt_path(workdir: &Path, run_id: &str, node: usize, array: &str, epoch: u64) -> PathBuf {
     CheckpointPolicy::new(1, workdir, format!("{run_id}_n{node}"))
         .path_for(&format!("{array}_e{epoch}"))
+}
+
+/// Proves this process compiled `plan` (its fingerprint rides in the
+/// `Hello`) and joins the cluster as `node`.
+fn connect(coord: &str, node: usize, n_nodes: usize, plan: &ThreadedPlan) -> NodeEndpoint {
+    NodeEndpoint::connect(&NodeConfig {
+        node,
+        n_nodes,
+        coord: coord.into(),
+        fingerprint: plan_fingerprint(plan),
+    })
+    .expect("node connects to the coordinator")
+}
+
+enum EpochOutcome {
+    Done {
+        compute_ns: u64,
+        rotation_ns: u64,
+        /// The node's happens-before log, shipped on `EpochDone` for
+        /// the O11x detector.
+        events: Vec<HbEvent>,
+    },
+    /// A `Rollback`/`Shutdown` preempted the pass; the partial state is
+    /// garbage and the control message still needs handling.
+    Preempted(Msg),
+}
+
+/// How long a node waits for one rotated partition before declaring the
+/// cluster wedged. Generous: CI runs debug builds.
+const ROTATION_TIMEOUT: Duration = Duration::from_secs(120);
+/// How long a node idles waiting for the next coordinator command.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(600);
+
+/// One application's node-side state, driven by [`node_control_loop`].
+/// The defaults fit a stateless node: nothing to persist, restore or
+/// gather.
+trait NodeApp {
+    /// Runs one epoch of this node's program.
+    fn run_epoch(&mut self, ep: &mut NodeEndpoint, epoch: u64) -> EpochOutcome;
+
+    /// Persists the state this node holds at the start of `epoch`.
+    fn checkpoint(&mut self, _epoch: u64) {}
+
+    /// Restores the state checkpointed at the start of `epoch`.
+    fn rollback(&mut self, _epoch: u64) {}
+
+    /// This node's slice of the final model, as tagged checkpoint bytes.
+    fn final_state(&self) -> Vec<(u32, Bytes)> {
+        Vec::new()
+    }
+}
+
+/// The node's command loop: everything after the handshake is driven by
+/// coordinator messages on the ordered control stream.
+fn node_control_loop(mut ep: NodeEndpoint, node: usize, app: &mut impl NodeApp) -> ! {
+    let id = node as u32;
+    let mut pending: Option<Msg> = None;
+    loop {
+        let msg = match pending.take() {
+            Some(m) => m,
+            None => ep
+                .next_coord_msg(CONTROL_TIMEOUT)
+                .expect("coordinator control message"),
+        };
+        let reply = match msg {
+            Msg::EpochStart { epoch } => match app.run_epoch(&mut ep, epoch) {
+                EpochOutcome::Done {
+                    compute_ns,
+                    rotation_ns,
+                    events,
+                } => {
+                    ep.gc_below(epoch);
+                    Msg::EpochDone {
+                        epoch,
+                        node: id,
+                        compute_ns,
+                        rotation_ns,
+                        sent: ep.take_sent(),
+                        events,
+                    }
+                }
+                EpochOutcome::Preempted(ctrl) => {
+                    pending = Some(ctrl);
+                    continue;
+                }
+            },
+            Msg::Checkpoint { epoch } => {
+                app.checkpoint(epoch);
+                Msg::CheckpointDone { epoch, node: id }
+            }
+            Msg::Rollback { epoch } => {
+                app.rollback(epoch);
+                ep.clear_inbox();
+                Msg::RollbackDone { epoch, node: id }
+            }
+            Msg::Gather => Msg::FinalState {
+                node: id,
+                parts: app.final_state(),
+            },
+            Msg::Shutdown => std::process::exit(0),
+            // Stale traffic from an abandoned epoch (e.g. a prefetch
+            // response raced a rollback): deterministic re-execution
+            // makes it redundant, so dropping it is sound.
+            _ => continue,
+        };
+        ep.send_coord(&reply).expect("reply to the coordinator");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -308,75 +420,23 @@ fn mf_compile(
 // ---------------------------------------------------------------------
 // SGD MF: the node process.
 
-/// Held home partitions between epochs, keyed by time partition.
-type Homes = BTreeMap<u32, DistArray<f32>>;
-
-fn save_mf_checkpoint(
-    workdir: &Path,
-    run_id: &str,
-    node: usize,
-    epoch: u64,
-    w_part: &DistArray<f32>,
-    homes: &Homes,
-) {
-    checkpoint::save(w_part, ckpt_path(workdir, run_id, node, "W", epoch)).expect("checkpoint W");
-    for (&tp, part) in homes {
-        checkpoint::save(
-            part,
-            ckpt_path(workdir, run_id, node, &format!("H{tp}"), epoch),
-        )
-        .expect("checkpoint H partition");
-    }
-}
-
-fn load_mf_checkpoint(
-    workdir: &Path,
-    run_id: &str,
-    node: usize,
-    epoch: u64,
-    my_tps: &[usize],
-) -> (DistArray<f32>, Homes) {
-    let w_part = checkpoint::load(ckpt_path(workdir, run_id, node, "W", epoch)).expect("reload W");
-    let mut homes = Homes::new();
-    for &tp in my_tps {
-        let part = checkpoint::load(ckpt_path(workdir, run_id, node, &format!("H{tp}"), epoch))
-            .expect("reload H partition");
-        homes.insert(tp as u32, part);
-    }
-    (w_part, homes)
-}
-
-enum EpochOutcome {
-    Done {
-        compute_ns: u64,
-        rotation_ns: u64,
-    },
-    /// A `Rollback`/`Shutdown` preempted the pass; the partial state is
-    /// garbage and the control message still needs handling.
-    Preempted(Msg),
-}
-
-/// How long a node waits for one rotated partition before declaring the
-/// cluster wedged. Generous: CI runs debug builds.
-const ROTATION_TIMEOUT: Duration = Duration::from_secs(120);
-/// How long a node idles waiting for the next coordinator command.
-const CONTROL_TIMEOUT: Duration = Duration::from_secs(600);
+/// The node's slot table of `H` partitions, indexed by time partition:
+/// between epochs it holds the partitions this node homes, during an
+/// epoch it is the interpreter's held table.
+type Slots = Vec<Option<DistArray<f32>>>;
 
 struct MfNode {
-    ep: NodeEndpoint,
+    node: usize,
     plan: Arc<ThreadedPlan>,
     triples: Vec<(i64, i64, f32)>,
     w_part: DistArray<f32>,
-    homes: Homes,
+    homes: Slots,
     home_of: Vec<usize>,
     step: f32,
     mode: MathMode,
     workdir: PathBuf,
     run_id: String,
     crash_epoch: Option<u64>,
-    /// Happens-before event log of the epoch in flight, shipped to the
-    /// coordinator with `EpochDone` for the O11x detector.
-    events: Vec<HbEvent>,
 }
 
 fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
@@ -385,15 +445,7 @@ fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
     let dims = data.ratings.shape().dims().to_vec();
     let model = MfModel::new(dims[0], dims[1], cfg);
     let (driver, compiled, plan) = mf_compile(&data, &model, n_nodes, ordered);
-    let fingerprint = plan_fingerprint(&plan);
-
-    let ep = NodeEndpoint::connect(&NodeConfig {
-        node,
-        n_nodes,
-        coord: coord.into(),
-        fingerprint,
-    })
-    .expect("node connects to the coordinator");
+    let ep = connect(coord, node, n_nodes, &plan);
 
     let sched = &compiled.schedule;
     let sp = sched
@@ -407,7 +459,7 @@ fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
 
     // This node's slice of the model: its own space partition of W plus
     // the time partitions of H it homes at pass start.
-    let mut home_of = vec![0usize; plan.n_time_partitions()];
+    let mut home_of = vec![0usize; plan.n_parts()];
     for w in 0..plan.n_workers() {
         for &tp in plan.initial_of(w) {
             home_of[tp] = w;
@@ -419,19 +471,20 @@ fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
         .into_iter()
         .nth(node)
         .expect("one space partition per node");
-    let mut homes = Homes::new();
-    for (tp, part) in model.h.split_along(0, &tpp.ranges).into_iter().enumerate() {
-        if home_of[tp] == node {
-            homes.insert(tp as u32, part);
-        }
-    }
+    let homes: Slots = model
+        .h
+        .split_along(0, &tpp.ranges)
+        .into_iter()
+        .zip(&home_of)
+        .map(|(part, &home)| (home == node).then_some(part))
+        .collect();
     let triples: Vec<(i64, i64, f32)> =
         data.items().iter().map(|(i, v)| (i[0], i[1], *v)).collect();
 
     let workdir = PathBuf::from(env(ENV_WORKDIR));
     let run_id = env(ENV_RUN_ID);
     let mut state = MfNode {
-        ep,
+        node,
         step: model.cfg.step_size,
         mode: driver.math_mode(),
         crash_epoch: crash_epoch(&workdir, &run_id, node),
@@ -442,261 +495,162 @@ fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
         home_of,
         workdir,
         run_id,
-        events: Vec::new(),
     };
     // Epoch-0 checkpoint: the initial state, so a rollback before the
     // first barrier restarts training from scratch.
-    save_mf_checkpoint(
-        &state.workdir,
-        &state.run_id,
-        node,
-        0,
-        &state.w_part,
-        &state.homes,
-    );
-
-    mf_control_loop(&mut state, node)
+    state.checkpoint(0);
+    node_control_loop(ep, node, &mut state)
 }
 
-/// The node's command loop: everything after the handshake is driven by
-/// coordinator messages on the ordered control stream.
-fn mf_control_loop(state: &mut MfNode, node: usize) -> ! {
-    let mut pending: Option<Msg> = None;
-    loop {
-        let msg = match pending.take() {
-            Some(m) => m,
-            None => state
-                .ep
-                .next_coord_msg(CONTROL_TIMEOUT)
-                .expect("coordinator control message"),
-        };
-        match msg {
-            Msg::EpochStart { epoch } => match mf_run_epoch(state, node, epoch) {
-                EpochOutcome::Done {
-                    compute_ns,
-                    rotation_ns,
-                } => {
-                    let sent = state.ep.take_sent();
-                    let events = std::mem::take(&mut state.events);
-                    state
-                        .ep
-                        .send_coord(&Msg::EpochDone {
-                            epoch,
-                            node: node as u32,
-                            compute_ns,
-                            rotation_ns,
-                            sent,
-                            events,
-                        })
-                        .expect("send EpochDone");
-                    state.ep.gc_below(epoch);
-                }
-                EpochOutcome::Preempted(ctrl) => pending = Some(ctrl),
-            },
-            Msg::Checkpoint { epoch } => {
-                save_mf_checkpoint(
-                    &state.workdir,
-                    &state.run_id,
-                    node,
-                    epoch,
-                    &state.w_part,
-                    &state.homes,
-                );
-                state
-                    .ep
-                    .send_coord(&Msg::CheckpointDone {
-                        epoch,
-                        node: node as u32,
-                    })
-                    .expect("send CheckpointDone");
-            }
-            Msg::Rollback { epoch } => {
-                let my_tps: Vec<usize> = state.plan.initial_of(node).to_vec();
-                let (w_part, homes) =
-                    load_mf_checkpoint(&state.workdir, &state.run_id, node, epoch, &my_tps);
-                state.w_part = w_part;
-                state.homes = homes;
-                state.ep.clear_inbox();
-                state
-                    .ep
-                    .send_coord(&Msg::RollbackDone {
-                        epoch,
-                        node: node as u32,
-                    })
-                    .expect("send RollbackDone");
-            }
-            Msg::Gather => {
-                let mut parts: Vec<(u32, Bytes)> =
-                    vec![(u32::MAX, checkpoint::to_bytes(&state.w_part))];
-                parts.extend(
-                    state
-                        .homes
-                        .iter()
-                        .map(|(&tp, part)| (tp, checkpoint::to_bytes(part))),
-                );
-                state
-                    .ep
-                    .send_coord(&Msg::FinalState {
-                        node: node as u32,
-                        parts,
-                    })
-                    .expect("send FinalState");
-            }
-            Msg::Shutdown => std::process::exit(0),
-            // Stale traffic from an abandoned epoch (e.g. a prefetch
-            // response raced a rollback): deterministic re-execution
-            // makes it redundant, so dropping it is sound.
-            _ => {}
-        }
+impl MfNode {
+    fn ckpt(&self, array: &str, epoch: u64) -> PathBuf {
+        ckpt_path(&self.workdir, &self.run_id, self.node, array, epoch)
+    }
+
+    /// The `H` partitions this node holds, with their indices.
+    fn held(&self) -> impl Iterator<Item = (usize, &DistArray<f32>)> {
+        let slots = self.homes.iter().enumerate();
+        slots.filter_map(|(tp, part)| Some((tp, part.as_ref()?)))
     }
 }
 
-/// One epoch of the Fig.-8 pipelined rotation, mirroring the
-/// `run_grid_pass_pooled` worker loop with channels replaced by peer
-/// sockets. Partition payloads travel as bit-exact checkpoint frames
-/// (shape + origin + dense run), so `row_slice_mut` keeps addressing
-/// by global index on the receiving side.
-fn mf_run_epoch(state: &mut MfNode, node: usize, epoch: u64) -> EpochOutcome {
-    let plan = Arc::clone(&state.plan);
-    let n_time = plan.n_time_partitions();
-    let mut compute_ns = 0u64;
-    let mut rotation_ns = 0u64;
-    // Event log shape mirrors `orion_check::plan_event_log`: rotation
-    // receives, block executions, and cross-node forwards. Local
-    // re-enqueues and the end-of-epoch re-homing are pure bookkeeping
-    // (no further exec awaits them), so they are not recorded.
-    state.events.clear();
+impl NodeApp for MfNode {
+    /// One epoch of the Fig.-8 pipelined rotation: this node's program
+    /// run by the pool's interpreter over peer sockets, then re-homing.
+    fn run_epoch(&mut self, ep: &mut NodeEndpoint, epoch: u64) -> EpochOutcome {
+        let (plan, node) = (Arc::clone(&self.plan), self.node);
+        let mut net = Sockets { ep, node, epoch };
+        let n_blocks = plan.programs()[node]
+            .iter()
+            .filter(|ev| matches!(ev, HbEvent::Exec { .. }))
+            .count();
+        let crash_at = (self.crash_epoch == Some(epoch)).then_some(n_blocks / 2);
+        let mut done = 0;
+        let (w_part, triples, step, mode) = (&mut self.w_part, &self.triples, self.step, self.mode);
+        let (workdir, run_id) = (&self.workdir, &self.run_id);
+        let exec = |block: usize, part: &mut DistArray<f32>| {
+            if crash_at == Some(done) {
+                inject_crash(workdir, run_id, node);
+            }
+            done += 1;
+            for &pos in plan.blocks().items(block) {
+                let (u, item, v) = triples[pos as usize];
+                let (w_row, h_row) = (w_part.row_slice_mut(u), part.row_slice_mut(item));
+                kernels::mf_row_update(w_row, h_row, v, step, mode);
+            }
+        };
+        let start = Instant::now();
+        let trace = match run_program(&plan, node, &mut self.homes, &mut net, start, exec) {
+            Ok(trace) => trace,
+            Err(ctrl) => return EpochOutcome::Preempted(ctrl),
+        };
+        let mut rotation_ns = phase_ns(&trace.spans, ThreadPhase::Rotation);
 
-    // Seed the local queue with the homed partitions, in use order.
-    let mut queue: VecDeque<(u32, DistArray<f32>)> = plan
-        .initial_of(node)
-        .iter()
-        .map(|&tp| {
-            let part = state
-                .homes
-                .remove(&(tp as u32))
-                .expect("home partition present at epoch start");
-            (tp as u32, part)
-        })
-        .collect();
-    let mut kept: Vec<(u32, DistArray<f32>)> = Vec::new();
-    let mut forwards = plan.forwards_of(node).iter();
-    let mut next_forward = forwards.next();
-
-    let execs = plan.execs_of(node);
-    let crash_at = (state.crash_epoch == Some(epoch)).then_some(execs.len() / 2);
-    for (i, e) in execs.iter().enumerate() {
-        if crash_at == Some(i) {
-            inject_crash(&state.workdir, &state.run_id, node);
+        // Re-home: every partition this node ends with goes back to its
+        // pass-start owner, so the next epoch starts from the same
+        // slots. The (epoch, tp) inbox key cannot collide with in-epoch
+        // rotation: a program's last step on a partition keeps it.
+        for (tp, slot) in self.homes.iter_mut().enumerate() {
+            let home = self.home_of[tp];
+            if home != node {
+                if let Some(Err(ctrl)) = slot.take().map(|part| net.send(home, tp, part)) {
+                    return EpochOutcome::Preempted(ctrl);
+                }
+            }
         }
-        if e.awaited.is_some() {
-            let tp = (e.block % n_time) as u32;
+        for &tp in plan.initial_of(node) {
+            if self.homes[tp].is_some() {
+                continue;
+            }
             let t0 = Instant::now();
-            match state.ep.recv_partition(epoch, tp, ROTATION_TIMEOUT) {
-                Ok(PartRecv::Part(payload)) => {
-                    let part =
-                        checkpoint::from_bytes::<f32>(payload).expect("rotated partition decodes");
-                    state.events.push(HbEvent::Recv { tp });
-                    queue.push_back((tp, part));
-                }
-                Ok(PartRecv::Ctrl(ctrl)) => return EpochOutcome::Preempted(ctrl),
-                Ok(PartRecv::TimedOut) => {
-                    panic!("node {node}: timed out awaiting partition {tp} in epoch {epoch}")
-                }
-                Err(e) => panic!("node {node}: {e}"),
+            match net.recv(tp) {
+                Ok(part) => self.homes[tp] = Some(part),
+                Err(ctrl) => return EpochOutcome::Preempted(ctrl),
             }
             rotation_ns += t0.elapsed().as_nanos() as u64;
         }
-        let (tp, mut part) = queue.pop_front().expect("schedule keeps the queue fed");
-        debug_assert_eq!(
-            tp as usize,
-            e.block % n_time,
-            "queue order must match schedule"
-        );
-        let t0 = Instant::now();
-        for &pos in plan.blocks().items(e.block) {
-            let (u, item, v) = state.triples[pos as usize];
-            kernels::mf_row_update(
-                state.w_part.row_slice_mut(u),
-                part.row_slice_mut(item),
-                v,
-                state.step,
-                state.mode,
-            );
-        }
-        compute_ns += t0.elapsed().as_nanos() as u64;
-        state.events.push(HbEvent::Exec {
-            step: e.step,
-            block: e.block as u32,
-        });
-        // Fig. 8: forward downstream before starting the next block.
-        match next_forward {
-            Some(&(step, dst)) if step == e.step => {
-                next_forward = forwards.next();
-                if dst == node {
-                    queue.push_back((tp, part));
-                } else {
-                    state.events.push(HbEvent::Send {
-                        tp,
-                        dst: dst as u32,
-                    });
-                    state.ep.send_peer(
-                        dst,
-                        &Msg::Partition {
-                            epoch,
-                            tp,
-                            payload: checkpoint::to_bytes(&part),
-                        },
-                    );
-                }
-            }
-            _ => kept.push((tp, part)),
+        EpochOutcome::Done {
+            compute_ns: phase_ns(&trace.spans, ThreadPhase::Compute),
+            rotation_ns,
+            events: trace.events,
         }
     }
 
-    // Re-home: every partition this node ends with goes back to its
-    // pass-start owner, so the next epoch seeds canonical queues. The
-    // (epoch, tp) inbox key cannot collide with in-epoch rotation: a
-    // partition only lands in `kept` once no further exec awaits it.
-    for (tp, part) in kept.into_iter().chain(queue) {
-        let home = state.home_of[tp as usize];
-        if home == node {
-            state.homes.insert(tp, part);
-        } else {
-            state.ep.send_peer(
-                home,
-                &Msg::Partition {
-                    epoch,
-                    tp,
-                    payload: checkpoint::to_bytes(&part),
-                },
-            );
+    fn checkpoint(&mut self, epoch: u64) {
+        checkpoint::save(&self.w_part, self.ckpt("W", epoch)).expect("checkpoint W");
+        for (tp, part) in self.held() {
+            checkpoint::save(part, self.ckpt(&format!("H{tp}"), epoch))
+                .expect("checkpoint H partition");
         }
     }
-    for &tp in plan.initial_of(node) {
-        let tp = tp as u32;
-        if state.homes.contains_key(&tp) {
-            continue;
+
+    fn rollback(&mut self, epoch: u64) {
+        self.w_part = checkpoint::load(self.ckpt("W", epoch)).expect("reload W");
+        self.homes = (0..self.plan.n_parts()).map(|_| None).collect();
+        for &tp in self.plan.initial_of(self.node) {
+            let part =
+                checkpoint::load(self.ckpt(&format!("H{tp}"), epoch)).expect("reload H partition");
+            self.homes[tp] = Some(part);
         }
-        let t0 = Instant::now();
-        match state.ep.recv_partition(epoch, tp, ROTATION_TIMEOUT) {
+    }
+
+    /// W's space partition tagged `u32::MAX`, then the homed H
+    /// partitions tagged by index.
+    fn final_state(&self) -> Vec<(u32, Bytes)> {
+        let homes = self
+            .held()
+            .map(|(tp, part)| (tp as u32, checkpoint::to_bytes(part)));
+        std::iter::once((u32::MAX, checkpoint::to_bytes(&self.w_part)))
+            .chain(homes)
+            .collect()
+    }
+}
+
+/// The MF node's transport: rotated partitions travel to peers as
+/// bit-exact checkpoint frames (shape + origin + dense run), so
+/// `row_slice_mut` keeps addressing by global index on the receiving
+/// side. A `Rollback`/`Shutdown` arriving mid-wait aborts the epoch.
+struct Sockets<'a> {
+    ep: &'a mut NodeEndpoint,
+    node: usize,
+    epoch: u64,
+}
+
+impl Transport<DistArray<f32>> for Sockets<'_> {
+    type Abort = Msg;
+
+    fn send(&mut self, dst: usize, tp: usize, part: DistArray<f32>) -> Result<(), Msg> {
+        let msg = Msg::Partition {
+            epoch: self.epoch,
+            tp: tp as u32,
+            payload: checkpoint::to_bytes(&part),
+        };
+        self.ep.send_peer(dst, &msg);
+        Ok(())
+    }
+
+    fn recv(&mut self, tp: usize) -> Result<DistArray<f32>, Msg> {
+        let (node, epoch) = (self.node, self.epoch);
+        match self.ep.recv_partition(epoch, tp as u32, ROTATION_TIMEOUT) {
             Ok(PartRecv::Part(payload)) => {
-                let part =
-                    checkpoint::from_bytes::<f32>(payload).expect("re-homed partition decodes");
-                state.homes.insert(tp, part);
+                Ok(checkpoint::from_bytes::<f32>(payload).expect("rotated partition decodes"))
             }
-            Ok(PartRecv::Ctrl(ctrl)) => return EpochOutcome::Preempted(ctrl),
+            Ok(PartRecv::Ctrl(ctrl)) => Err(ctrl),
             Ok(PartRecv::TimedOut) => {
-                panic!("node {node}: timed out awaiting re-homed partition {tp}")
+                panic!("node {node}: timed out awaiting partition {tp} in epoch {epoch}")
             }
             Err(e) => panic!("node {node}: {e}"),
         }
-        rotation_ns += t0.elapsed().as_nanos() as u64;
     }
-    EpochOutcome::Done {
-        compute_ns,
-        rotation_ns,
-    }
+}
+
+/// Total nanoseconds `spans` spent in `phase`.
+fn phase_ns(spans: &[ThreadSpan], phase: ThreadPhase) -> u64 {
+    spans
+        .iter()
+        .filter(|s| s.phase == phase)
+        .map(|s| s.end_ns - s.start_ns)
+        .sum()
 }
 
 // ---------------------------------------------------------------------
@@ -790,8 +744,7 @@ pub fn train_mf_distributed(
     let gathered = cluster.gather()?;
     let msg_log = cluster.take_msg_log();
     let mut w_parts: Vec<Option<DistArray<f32>>> = (0..opts.nodes).map(|_| None).collect();
-    let mut h_parts: Vec<Option<DistArray<f32>>> =
-        (0..plan.n_time_partitions()).map(|_| None).collect();
+    let mut h_parts: Vec<Option<DistArray<f32>>> = (0..plan.n_parts()).map(|_| None).collect();
     for (node, parts) in gathered.into_iter().enumerate() {
         for (tag, payload) in parts {
             let arr = checkpoint::from_bytes::<f32>(payload)
@@ -835,6 +788,7 @@ pub fn train_mf_distributed(
         recoveries,
         reexecuted,
         msg_log,
+        plan,
         stats: driver.finish(),
     })
 }
@@ -931,190 +885,152 @@ fn slr_compile(
 // ---------------------------------------------------------------------
 // SLR: the node process.
 
+/// A stateless SLR node: the served weights live on the coordinator and
+/// only mutate at epoch boundaries, so checkpoint and rollback barriers
+/// are pure acknowledgements.
+struct SlrNode {
+    node: usize,
+    data: SparseData,
+    plan: Arc<ThreadedPlan>,
+    /// The indices this node's recording pass discovers for bulk
+    /// prefetch (§4.4).
+    indices: Vec<u64>,
+    step: f32,
+    mode: MathMode,
+    shape: orion_core::Shape,
+    crash_epoch: Option<u64>,
+    workdir: PathBuf,
+    run_id: String,
+}
+
 fn slr_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
     let (data_cfg, cfg) = slr_env_decode();
     let data = SparseData::generate(data_cfg);
     let model = SlrModel::new(data.config.n_features, cfg);
     let (driver, _compiled, plan) = slr_compile(&data, &model, n_nodes);
-    let fingerprint = plan_fingerprint(&plan);
+    let ep = connect(coord, node, n_nodes, &plan);
 
-    let mut ep = NodeEndpoint::connect(&NodeConfig {
-        node,
-        n_nodes,
-        coord: coord.into(),
-        fingerprint,
-    })
-    .expect("node connects to the coordinator");
-
-    // This node's items in execution order, and the indices its
-    // synthesized recording pass discovers for bulk prefetch (§4.4).
     let positions: Vec<usize> = plan.worker_positions()[node]
         .iter()
         .map(|&p| p as usize)
         .collect();
-    let indices = slr::record_prefetch_indices(&data, &positions);
-    // Happens-before log of one SLR epoch: the 1-D pass runs this
-    // node's blocks against a read-only prefetched snapshot and ships
-    // one buffered update the coordinator applies, so the log is the
-    // same every epoch.
-    let hb_events: Vec<HbEvent> = plan
-        .execs_of(node)
-        .iter()
-        .map(|e| HbEvent::Exec {
-            step: e.step,
-            block: e.block as u32,
-        })
-        .chain(std::iter::once(HbEvent::ServerApply { node: node as u32 }))
-        .collect();
-    let step = model.cfg.step_size;
-    let mode = driver.math_mode();
-    let shape = model.weights.shape().clone();
     let workdir = PathBuf::from(env(ENV_WORKDIR));
     let run_id = env(ENV_RUN_ID);
-    let crash = crash_epoch(&workdir, &run_id, node);
+    let mut state = SlrNode {
+        node,
+        indices: slr::record_prefetch_indices(&data, &positions),
+        data,
+        plan,
+        step: model.cfg.step_size,
+        mode: driver.math_mode(),
+        shape: model.weights.shape().clone(),
+        crash_epoch: crash_epoch(&workdir, &run_id, node),
+        workdir,
+        run_id,
+    };
+    node_control_loop(ep, node, &mut state)
+}
 
-    let mut pending: Option<Msg> = None;
-    loop {
-        let msg = match pending.take() {
-            Some(m) => m,
-            None => ep
-                .next_coord_msg(CONTROL_TIMEOUT)
-                .expect("coordinator control message"),
-        };
-        match msg {
-            Msg::EpochStart { epoch } => {
-                match slr_run_epoch(
-                    &mut ep, &data, &positions, &indices, node, epoch, step, mode, &shape, crash,
-                    &workdir, &run_id,
-                ) {
-                    EpochOutcome::Done {
-                        compute_ns,
-                        rotation_ns,
-                    } => {
-                        let sent = ep.take_sent();
-                        ep.send_coord(&Msg::EpochDone {
-                            epoch,
-                            node: node as u32,
-                            compute_ns,
-                            rotation_ns,
-                            sent,
-                            events: hb_events.clone(),
-                        })
-                        .expect("send EpochDone");
-                        ep.gc_below(epoch);
-                    }
-                    EpochOutcome::Preempted(ctrl) => pending = Some(ctrl),
-                }
-            }
-            // Stateless nodes: the served weights live on the
-            // coordinator and only mutate at epoch boundaries, so both
-            // barriers are pure acknowledgements.
-            Msg::Checkpoint { epoch } => {
-                ep.send_coord(&Msg::CheckpointDone {
-                    epoch,
-                    node: node as u32,
-                })
-                .expect("send CheckpointDone");
-            }
-            Msg::Rollback { epoch } => {
-                ep.clear_inbox();
-                ep.send_coord(&Msg::RollbackDone {
-                    epoch,
-                    node: node as u32,
-                })
-                .expect("send RollbackDone");
-            }
-            Msg::Gather => {
-                ep.send_coord(&Msg::FinalState {
-                    node: node as u32,
-                    parts: Vec::new(),
-                })
-                .expect("send FinalState");
-            }
-            Msg::Shutdown => std::process::exit(0),
-            _ => {}
-        }
+/// The SLR node's transport: a 1-D program has no `Recv`/`Send` steps,
+/// so the node's buffer never leaves its pinned slot.
+struct Pinned;
+
+impl<P> Transport<P> for Pinned {
+    type Abort = std::convert::Infallible;
+
+    fn send(&mut self, _: usize, _: usize, _: P) -> Result<(), Self::Abort> {
+        unreachable!("1-D programs never send")
+    }
+
+    fn recv(&mut self, _: usize) -> Result<P, Self::Abort> {
+        unreachable!("1-D programs never receive")
     }
 }
 
-/// One SLR epoch on a node: bulk-prefetch the weights this node's
-/// samples touch, run the 1-D pass into an additive buffer against that
-/// snapshot, ship the drained buffer back as a server update.
-#[allow(clippy::too_many_arguments)]
-fn slr_run_epoch(
-    ep: &mut NodeEndpoint,
-    data: &SparseData,
-    positions: &[usize],
-    indices: &[u64],
-    node: usize,
-    epoch: u64,
-    step: f32,
-    mode: MathMode,
-    shape: &orion_core::Shape,
-    crash: Option<u64>,
-    workdir: &Path,
-    run_id: &str,
-) -> EpochOutcome {
-    let t0 = Instant::now();
-    ep.send_coord(&Msg::PrefetchRequest {
-        epoch,
-        node: node as u32,
-        indices: indices.to_vec(),
-    })
-    .expect("send PrefetchRequest");
-    // Await this epoch's prefetch response; stale responses from an
-    // abandoned epoch carry an older epoch tag and are dropped.
-    let snapshot: HashMap<u64, f32> = loop {
-        match ep.next_coord_msg(ROTATION_TIMEOUT) {
-            Ok(Msg::PrefetchResponse { epoch: e, payload }) if e == epoch => {
-                break codec::decode_updates::<f32>(payload).into_iter().collect();
+impl NodeApp for SlrNode {
+    /// One SLR epoch on a node: bulk-prefetch the weights this node's
+    /// samples touch, run its program into an additive buffer against
+    /// that snapshot, ship the drained buffer back as a server update.
+    fn run_epoch(&mut self, ep: &mut NodeEndpoint, epoch: u64) -> EpochOutcome {
+        let node = self.node;
+        let t0 = Instant::now();
+        ep.send_coord(&Msg::PrefetchRequest {
+            epoch,
+            node: node as u32,
+            indices: self.indices.clone(),
+        })
+        .expect("send PrefetchRequest");
+        // Await this epoch's prefetch response; stale responses from an
+        // abandoned epoch carry an older epoch tag and are dropped.
+        let snapshot: HashMap<u64, f32> = loop {
+            match ep.next_coord_msg(ROTATION_TIMEOUT) {
+                Ok(Msg::PrefetchResponse { epoch: e, payload }) if e == epoch => {
+                    break codec::decode_updates::<f32>(payload).into_iter().collect();
+                }
+                Ok(Msg::PrefetchResponse { .. }) => {}
+                Ok(ctrl @ (Msg::Rollback { .. } | Msg::Shutdown)) => {
+                    return EpochOutcome::Preempted(ctrl);
+                }
+                Ok(other) => panic!("node {node}: unexpected {other:?} awaiting prefetch"),
+                Err(e) => panic!("node {node}: {e}"),
             }
-            Ok(Msg::PrefetchResponse { .. }) => {}
-            Ok(ctrl @ (Msg::Rollback { .. } | Msg::Shutdown)) => {
-                return EpochOutcome::Preempted(ctrl);
-            }
-            Ok(other) => panic!("node {node}: unexpected {other:?} awaiting prefetch"),
-            Err(e) => panic!("node {node}: {e}"),
-        }
-    };
-    let rotation_ns = t0.elapsed().as_nanos() as u64;
+        };
+        let rotation_ns = t0.elapsed().as_nanos() as u64;
 
-    let t1 = Instant::now();
-    let crash_at = (crash == Some(epoch)).then_some(positions.len() / 2);
-    let mut buf = DistArrayBuffer::<f32>::additive(shape.clone());
-    for (i, &pos) in positions.iter().enumerate() {
-        if crash_at == Some(i) {
-            inject_crash(workdir, run_id, node);
+        let t1 = Instant::now();
+        let plan = &self.plan;
+        let crash_at =
+            (self.crash_epoch == Some(epoch)).then(|| plan.worker_positions()[node].len() / 2);
+        let mut done = 0;
+        let (data, step, mode) = (&self.data, self.step, self.mode);
+        let (workdir, run_id) = (&self.workdir, &self.run_id);
+        let exec = |block: usize, buf: &mut DistArrayBuffer<f32>| {
+            for &pos in plan.blocks().items(block) {
+                if crash_at == Some(done) {
+                    inject_crash(workdir, run_id, node);
+                }
+                done += 1;
+                let sample = &data.samples[pos as usize];
+                // The worker view of the sim pass: served snapshot plus
+                // the worker's own buffered writes — which read as zero
+                // (§3.3), so `+ 0.0` reproduces the oracle's
+                // `get_flat_or_default + buf_read` sum bit-for-bit.
+                let margin = SlrModel::margin_with(
+                    &sample.features,
+                    |f| snapshot.get(&(f as u64)).copied().unwrap_or(0.0) + 0.0,
+                    mode,
+                );
+                let coef = slr::logistic_grad_coef(sample.label, margin);
+                for &f in &sample.features {
+                    buf.write(&[f as i64], -step * coef);
+                }
+            }
+        };
+        let mut held: Vec<Option<DistArrayBuffer<f32>>> =
+            (0..plan.n_parts()).map(|_| None).collect();
+        held[node] = Some(DistArrayBuffer::additive(self.shape.clone()));
+        let Ok(trace) = run_program(plan, node, &mut held, &mut Pinned, t1, exec);
+        let updates: Vec<(u64, f32)> = held[node]
+            .take()
+            .expect("the buffer stays in its pinned slot")
+            .drain()
+            .into_iter()
+            .map(|(idx, v)| (idx[0] as u64, v))
+            .collect();
+        ep.send_coord(&Msg::ServerUpdate {
+            epoch,
+            node: node as u32,
+            payload: codec::encode_updates(&updates),
+        })
+        .expect("send ServerUpdate");
+        // The coordinator applies this node's buffer after the barrier.
+        let mut events = trace.events;
+        events.push(HbEvent::ServerApply { node: node as u32 });
+        EpochOutcome::Done {
+            compute_ns: t1.elapsed().as_nanos() as u64,
+            rotation_ns,
+            events,
         }
-        let sample = &data.samples[pos];
-        // The worker view of the sim pass: served snapshot plus the
-        // worker's own buffered writes — which read as zero (§3.3), so
-        // `+ 0.0` reproduces the oracle's `get_flat_or_default + buf_read`
-        // sum bit-for-bit.
-        let margin = SlrModel::margin_with(
-            &sample.features,
-            |f| snapshot.get(&(f as u64)).copied().unwrap_or(0.0) + 0.0,
-            mode,
-        );
-        let coef = slr::logistic_grad_coef(sample.label, margin);
-        for &f in &sample.features {
-            buf.write(&[f as i64], -step * coef);
-        }
-    }
-    let updates: Vec<(u64, f32)> = buf
-        .drain()
-        .into_iter()
-        .map(|(idx, v)| (idx[0] as u64, v))
-        .collect();
-    ep.send_coord(&Msg::ServerUpdate {
-        epoch,
-        node: node as u32,
-        payload: codec::encode_updates(&updates),
-    })
-    .expect("send ServerUpdate");
-    EpochOutcome::Done {
-        compute_ns: t1.elapsed().as_nanos() as u64,
-        rotation_ns,
     }
 }
 
@@ -1242,6 +1158,7 @@ pub fn train_slr_distributed(
         recoveries,
         reexecuted: 0,
         msg_log,
+        plan,
         stats: driver.finish(),
     })
 }

@@ -443,19 +443,28 @@ pub fn train_threaded(data: &TabularData, cfg: GbtConfig, threads: usize) -> (Gb
             let slots = Arc::new(slot_of_node);
             let assigned = Arc::new(assign.clone());
             let (g2, x2) = (Arc::clone(&grads), Arc::clone(&x));
-            let body = Arc::new(move |&f: &u32, sc: &mut Vec<(u32, Vec<BinStat>)>| {
-                let mut hist = vec![BinStat::default(); hist_len];
-                kernels::feature_histogram(
-                    f as usize, n_samples, n_features, n_bins, &x2, &slots, &assigned, &g2,
-                    NO_SLOT, &mut hist,
-                );
-                sc.push((f, hist));
-            });
+            let body = Arc::new(
+                move |&f: &u32, sc: &mut Vec<(u32, Vec<BinStat>)>, _: &mut ()| {
+                    let mut hist = vec![BinStat::default(); hist_len];
+                    kernels::feature_histogram(
+                        f as usize, n_samples, n_features, n_bins, &x2, &slots, &assigned, &g2,
+                        NO_SLOT, &mut hist,
+                    );
+                    sc.push((f, hist));
+                },
+            );
             let scratch: Vec<Vec<(u32, Vec<BinStat>)>> = vec![Vec::new(); plan.n_workers()];
-            let out =
-                driver.run_pass_threaded_one_d(&compiled.spec.name, &plan, &feats, scratch, &body);
+            let pinned = vec![(); plan.n_workers()];
+            let out = driver.run_pass_threaded(
+                &compiled.spec.name,
+                &plan,
+                &feats,
+                scratch,
+                pinned,
+                &body,
+            );
             let mut hists: Vec<Vec<BinStat>> = vec![vec![BinStat::default(); hist_len]; n_features];
-            for sc in out.scratch {
+            for sc in out.state {
                 for (f, hist) in sc {
                     hists[f as usize] = hist;
                 }

@@ -423,12 +423,12 @@ fn train_threaded_impl(
                 cursor: 0,
             });
         }
+        let state: Vec<_> = space_parts.into_iter().zip(scratch).collect();
         let cfg2 = Arc::clone(&cfg_arc);
         let body = Arc::new(
             move |&(d, w, pos): &(i64, i64, u32),
-                  ap: &mut DistArray<u32>,
-                  bp: &mut DistArray<u32>,
-                  sc: &mut LdaThreadScratch| {
+                  (ap, sc): &mut (DistArray<u32>, LdaThreadScratch),
+                  bp: &mut DistArray<u32>| {
                 let cur = sc.cursor;
                 sc.cursor += 1;
                 let LdaThreadScratch { ts, z, .. } = sc;
@@ -449,20 +449,14 @@ fn train_threaded_impl(
                 );
             },
         );
-        let out = driver.run_pass_threaded(
-            &compiled.spec.name,
-            &plan,
-            &cells,
-            space_parts,
-            time_parts,
-            scratch,
-            &body,
-        );
-        space_parts = out.space;
-        time_parts = out.time;
+        let out =
+            driver.run_pass_threaded(&compiled.spec.name, &plan, &cells, state, time_parts, &body);
+        let scratch: Vec<LdaThreadScratch>;
+        (space_parts, scratch) = out.state.into_iter().unzip();
+        time_parts = out.parts;
         // Return the assignments and merge the buffered summary deltas
         // in worker order, exactly like the simulated pass.
-        for (w, sc) in out.scratch.into_iter().enumerate() {
+        for (w, sc) in scratch.into_iter().enumerate() {
             for (&p, zcell) in positions[w].iter().zip(sc.z) {
                 model.z[p as usize] = zcell;
             }

@@ -553,14 +553,10 @@ fn train_threaded_impl(
     let triples: Arc<Vec<(i64, i64, f32)>> =
         Arc::new(items.iter().map(|(i, v)| (i[0], i[1], *v)).collect());
     let body = Arc::new(
-        move |&(u, i, v): &(i64, i64, f32),
-              wp: &mut DistArray<f32>,
-              hp: &mut DistArray<f32>,
-              _: &mut ()| {
+        move |&(u, i, v): &(i64, i64, f32), wp: &mut DistArray<f32>, hp: &mut DistArray<f32>| {
             kernels::mf_row_update(wp.row_slice_mut(u), hp.row_slice_mut(i), v, step, mode);
         },
     );
-    let n_workers = plan.n_workers();
     for pass in 0..passes {
         let out = driver.run_pass_threaded(
             &compiled.spec.name,
@@ -568,11 +564,10 @@ fn train_threaded_impl(
             &triples,
             w_parts,
             h_parts,
-            vec![(); n_workers],
             &body,
         );
-        w_parts = out.space;
-        h_parts = out.time;
+        w_parts = out.state;
+        h_parts = out.parts;
         if passes > 1 {
             // Merge clones for the loss readout; partitions stay split
             // for the next pass.

@@ -564,7 +564,9 @@ fn train_threaded_impl(
         let body = {
             let weights = Arc::clone(&weights);
             Arc::new(
-                move |sample: &orion_data::SparseSample, buf: &mut DistArrayBuffer<f32>| {
+                move |sample: &orion_data::SparseSample,
+                      buf: &mut DistArrayBuffer<f32>,
+                      _: &mut ()| {
                     let margin = SlrModel::margin_with(
                         &sample.features,
                         |f| weights.get_flat_or_default(f as u64) + buf_read(buf, f),
@@ -577,9 +579,10 @@ fn train_threaded_impl(
                 },
             )
         };
+        let pinned = vec![(); n_workers];
         let out =
-            driver.run_pass_threaded_one_d(&compiled.spec.name, &plan, &samples, buffers, &body);
-        let mut buffers = out.scratch;
+            driver.run_pass_threaded(&compiled.spec.name, &plan, &samples, buffers, pinned, &body);
+        let mut buffers = out.state;
         let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
         driver.sync_exchange(up / n_workers as u64, up / n_workers as u64);
         for buf in &mut buffers {

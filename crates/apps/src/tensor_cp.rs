@@ -352,15 +352,15 @@ pub fn train_threaded(
     let n_workers = plan.n_workers();
 
     for pass in 0..passes {
-        let scratch: Vec<DistArrayBuffer<f32>> = (0..n_workers)
-            .map(|_| DistArrayBuffer::additive(model.s.shape().clone()))
+        let state: Vec<_> = space_parts
+            .into_iter()
+            .map(|part| (part, DistArrayBuffer::additive(model.s.shape().clone())))
             .collect();
         let s_snap = Arc::new(model.s.clone());
         let body = Arc::new(
             move |&(i, j, k, x): &(i64, i64, i64, f32),
-                  ap: &mut DistArray<f32>,
-                  bp: &mut DistArray<f32>,
-                  buf: &mut DistArrayBuffer<f32>| {
+                  (ap, buf): &mut (DistArray<f32>, DistArrayBuffer<f32>),
+                  bp: &mut DistArray<f32>| {
                 let (u_row, v_row) = if space_is_users {
                     (ap.row_slice_mut(i), bp.row_slice_mut(j))
                 } else {
@@ -373,16 +373,16 @@ pub fn train_threaded(
             &compiled.spec.name,
             &plan,
             &entries,
-            space_parts,
+            state,
             time_parts,
-            scratch,
             &body,
         );
-        space_parts = out.space;
-        time_parts = out.time;
-        let up: u64 = out.scratch.iter().map(DistArrayBuffer::payload_bytes).sum();
+        let buffers: Vec<DistArrayBuffer<f32>>;
+        (space_parts, buffers) = out.state.into_iter().unzip();
+        time_parts = out.parts;
+        let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
         driver.sync_exchange(up / n_workers.max(1) as u64, up / n_workers.max(1) as u64);
-        for mut buf in out.scratch {
+        for mut buf in buffers {
             buf.apply_to(&mut model.s, |elem, delta| *elem += delta);
         }
         let snap = CpModel {

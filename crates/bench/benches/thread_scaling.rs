@@ -25,9 +25,7 @@ use orion_bench::{banner, results_dir};
 use orion_core::ClusterSpec;
 use orion_data::{RatingsConfig, RatingsData, SparseConfig, SparseData, SparseSample};
 use orion_dsm::{kernels, DistArray};
-use orion_runtime::{
-    build_schedule, run_grid_pass_pooled, run_one_d_pass_pooled, ThreadedPlan, WorkerPool,
-};
+use orion_runtime::{build_schedule, run_pass_pooled, ThreadedPlan, WorkerPool};
 
 /// Worker counts of the sweep.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -96,9 +94,8 @@ fn mf_pass_wall(
         Arc::new(items.iter().map(|(i, v)| (i[0], i[1], *v)).collect());
     let body = Arc::new(
         move |&(u, i, v): &(i64, i64, f32),
-              wp: &mut DistArray<f32>,
-              hp: &mut DistArray<f32>,
-              served: &mut u32| {
+              (wp, served): &mut (DistArray<f32>, u32),
+              hp: &mut DistArray<f32>| {
             if stall {
                 *served += 1;
                 if (*served).is_multiple_of(STALL_EVERY) {
@@ -128,21 +125,14 @@ fn mf_pass_wall(
     let mut elapsed = 0.0f64;
     for pass in 0..=passes {
         let start = Instant::now();
-        let out = run_grid_pass_pooled(
-            &pool,
-            &plan,
-            &triples,
-            w_parts,
-            h_parts,
-            vec![0u32; sched.n_workers],
-            &body,
-        );
+        let state = w_parts.into_iter().map(|w| (w, 0u32)).collect();
+        let out = run_pass_pooled(&pool, &plan, &triples, state, h_parts, &body);
         if pass > 0 {
             // Pass 0 is warmup (first-touch, thread ramp-up).
             elapsed += start.elapsed().as_secs_f64();
         }
-        w_parts = out.space;
-        h_parts = out.time;
+        w_parts = out.state.into_iter().map(|(w, _)| w).collect();
+        h_parts = out.parts;
     }
     elapsed * 1e3
 }
@@ -164,36 +154,36 @@ fn slr_pass_wall(
     let pool = WorkerPool::new(sched.n_workers);
     let samples = Arc::new(data.samples.clone());
     let weights = Arc::new(vec![0.01f32; data.config.n_features]);
-    let body = Arc::new(move |s: &SparseSample, (acc, served): &mut (f32, u32)| {
-        if stall {
-            *served += 1;
-            if (*served).is_multiple_of(STALL_EVERY) {
-                std::thread::sleep(STALL);
+    let body = Arc::new(
+        move |s: &SparseSample, (acc, served): &mut (f32, u32), _: &mut ()| {
+            if stall {
+                *served += 1;
+                if (*served).is_multiple_of(STALL_EVERY) {
+                    std::thread::sleep(STALL);
+                }
             }
-        }
-        let margin = if kcfg == Kernels::FastMath {
-            kernels::gather_sum_lanes(&s.features, |f| weights[f as usize])
-        } else {
-            // The SLR margin is a pure reduction: scalar, simd, and the
-            // dispatcher under Exact all run the serial order.
-            kernels::gather_sum_serial(&s.features, |f| weights[f as usize])
-        };
-        *acc += slr::logistic_grad_coef(s.label, margin);
-    });
+            let margin = if kcfg == Kernels::FastMath {
+                kernels::gather_sum_lanes(&s.features, |f| weights[f as usize])
+            } else {
+                // The SLR margin is a pure reduction: scalar, simd, and the
+                // dispatcher under Exact all run the serial order.
+                kernels::gather_sum_serial(&s.features, |f| weights[f as usize])
+            };
+            *acc += slr::logistic_grad_coef(s.label, margin);
+        },
+    );
     let mut elapsed = 0.0f64;
     for pass in 0..=passes {
         let start = Instant::now();
-        let out = run_one_d_pass_pooled(
-            &pool,
-            &plan,
-            &samples,
+        let (acc, pinned) = (
             vec![(0.0f32, 0u32); sched.n_workers],
-            &body,
+            vec![(); sched.n_workers],
         );
+        let out = run_pass_pooled(&pool, &plan, &samples, acc, pinned, &body);
         if pass > 0 {
             elapsed += start.elapsed().as_secs_f64();
         }
-        std::hint::black_box(&out.scratch);
+        std::hint::black_box(&out.state);
     }
     elapsed * 1e3
 }

@@ -24,59 +24,21 @@
 //! - `O112` — an actor's barrier events are anomalous (epoch regressed,
 //!   or a barrier exited before the same actor entered it).
 //!
-//! [`plan_event_log`] reconstructs the log a faithful execution of a
-//! [`ThreadedPlan`] must produce — the conformance tests pin the real
-//! engines against it, and mutating its output (deleting an edge) is
-//! how the detector itself is tested.
+//! A faithful execution records exactly its plan's per-worker programs
+//! ([`orion_runtime::ThreadedPlan::programs`]): the pool and the TCP
+//! nodes run them through one interpreter that logs each step as it
+//! completes it, and the conformance tests pin the recorded logs to the
+//! programs. Mutating a program (deleting an edge) is how the detector
+//! itself is tested.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use orion_ir::{ArrayMeta, Code, Diagnostic, LoopSpec, Severity};
-use orion_runtime::{CompiledBlocks, HbEvent, ThreadedPlan};
+use orion_runtime::{CompiledBlocks, HbEvent};
 
 use crate::race::{check_block_pair, AccessOracle, Race};
-
-/// The per-actor event log a faithful execution of `plan` records:
-/// for each worker, a `Recv` per awaited rotation, an `Exec` per
-/// scheduled block, and a `Send` per cross-worker forward edge, in
-/// program order. The threaded engine's recorded logs must equal this
-/// exactly (pinned by the conformance tests); the distributed runtime
-/// produces the same shape per node.
-pub fn plan_event_log(plan: &ThreadedPlan) -> Vec<Vec<HbEvent>> {
-    let n_time = plan.n_time_partitions();
-    (0..plan.n_workers())
-        .map(|w| {
-            let mut log = Vec::new();
-            let mut forwards = plan.forwards_of(w).iter();
-            let mut next_forward = forwards.next();
-            for e in plan.execs_of(w) {
-                if e.awaited.is_some() {
-                    log.push(HbEvent::Recv {
-                        tp: (e.block % n_time) as u32,
-                    });
-                }
-                log.push(HbEvent::Exec {
-                    step: e.step,
-                    block: e.block as u32,
-                });
-                if let Some(&(step, dst)) = next_forward {
-                    if step == e.step {
-                        next_forward = forwards.next();
-                        if dst != w {
-                            log.push(HbEvent::Send {
-                                tp: (e.block % n_time) as u32,
-                                dst: dst as u32,
-                            });
-                        }
-                    }
-                }
-            }
-            log
-        })
-        .collect()
-}
 
 /// A causality violation found in a recorded event log.
 #[derive(Debug, Clone)]
@@ -480,7 +442,7 @@ mod tests {
     use super::*;
     use orion_analysis::Strategy;
     use orion_ir::{DistArrayId, Subscript};
-    use orion_runtime::{build_schedule, Schedule};
+    use orion_runtime::{build_schedule, Schedule, ThreadedPlan};
 
     fn meta(id: DistArrayId, name: &str, dims: Vec<u64>) -> ArrayMeta {
         ArrayMeta::dense(id, name, dims, 4)
@@ -539,14 +501,14 @@ mod tests {
     fn faithful_plan_logs_are_clean() {
         let (spec, metas, indices, schedule) = mf_grid(8, 4);
         let plan = ThreadedPlan::compile(&schedule);
-        let logs = plan_event_log(&plan);
+        let logs = plan.programs();
         let mut checker = HbChecker::new(&spec, &metas, &indices);
         checker
-            .check_pass(plan.blocks(), &logs, "threaded pass")
+            .check_pass(plan.blocks(), logs, "threaded pass")
             .expect("faithful rotation logs carry no race");
         // Second identical pass hits the verified cache.
         checker
-            .check_pass(plan.blocks(), &logs, "threaded pass")
+            .check_pass(plan.blocks(), logs, "threaded pass")
             .unwrap();
     }
 
@@ -554,7 +516,7 @@ mod tests {
     fn deleting_a_rotation_edge_is_an_o110_race() {
         let (spec, metas, indices, schedule) = mf_grid(8, 4);
         let plan = ThreadedPlan::compile(&schedule);
-        let mut logs = plan_event_log(&plan);
+        let mut logs = plan.programs().to_vec();
         delete_edge(&mut logs, 1);
         let mut checker = HbChecker::new(&spec, &metas, &indices);
         let v = checker
@@ -570,7 +532,7 @@ mod tests {
     fn deleting_only_the_send_is_an_o111_unmatched_edge() {
         let (spec, metas, indices, schedule) = mf_grid(8, 4);
         let plan = ThreadedPlan::compile(&schedule);
-        let mut logs = plan_event_log(&plan);
+        let mut logs = plan.programs().to_vec();
         let send_at = logs
             .iter()
             .enumerate()
@@ -608,17 +570,17 @@ mod tests {
     fn barrier_edges_order_otherwise_racy_execs() {
         let (spec, metas, indices, schedule) = conflicting_pair();
         let plan = ThreadedPlan::compile(&schedule);
-        let base = plan_event_log(&plan);
+        let base = plan.programs();
         let mut checker = HbChecker::new(&spec, &metas, &indices);
 
         // Without any edges the two workers race on H row 0.
         let v = checker
-            .check_pass(plan.blocks(), &base, "bare")
+            .check_pass(plan.blocks(), base, "bare")
             .expect_err("concurrent writers of one row must race");
         assert!(matches!(*v, HbViolation::Race { .. }), "{v}");
 
         // A barrier between them restores the order.
-        let mut logs = base.clone();
+        let mut logs = base.to_vec();
         logs[0].push(HbEvent::BarrierEnter { epoch: 0 });
         logs[1].insert(0, HbEvent::BarrierEnter { epoch: 0 });
         let exec1 = logs[1].remove(1);
@@ -676,10 +638,10 @@ mod tests {
         let indices: Vec<Vec<i64>> = (0..8).map(|i| vec![i]).collect();
         let schedule = build_schedule(&Strategy::OneD { dim: 0 }, &indices, &[8], 4);
         let plan = ThreadedPlan::compile(&schedule);
-        let logs = plan_event_log(&plan);
+        let logs = plan.programs();
         let mut checker = HbChecker::new(&spec, &metas, &indices);
         checker
-            .check_pass(plan.blocks(), &logs, "one-d pass")
+            .check_pass(plan.blocks(), logs, "one-d pass")
             .expect("disjoint writers never race");
     }
 }

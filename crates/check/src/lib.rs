@@ -50,7 +50,7 @@ mod lint;
 pub mod proto;
 pub mod race;
 
-pub use hb::{plan_event_log, HbChecker, HbViolation};
+pub use hb::{HbChecker, HbViolation};
 pub use lint::{full_report, has_warnings, lint, lint_all, lint_schedule, LintConfig, LintOptions};
 pub use race::{check_schedule, AccessOracle, Race, RaceChecker, RaceViolation};
 

@@ -12,14 +12,14 @@ use std::collections::HashMap;
 
 use orion_analysis::{analyze, ParallelPlan, Strategy};
 use orion_check::{full_report, HbChecker, RaceChecker};
-use orion_dsm::{Device, DistArray, Element, MathMode};
+use orion_dsm::{DistArray, Element, MathMode};
 use orion_ir::{ArrayMeta, DistArrayId, LoopSpec};
 use std::sync::Arc;
 
 use orion_runtime::{
-    build_schedule, comm_model_with_spec, default_threads, run_grid_pass_pooled,
-    run_one_d_pass_pooled, CompiledBlocks, GridPassOutput, HbEvent, LoopCommModel, OneDPassOutput,
-    PassStats, Schedule, SimExecutor, ThreadPhase, ThreadSpan, ThreadedPlan, WorkerPool,
+    build_schedule, comm_model_with_spec, default_threads, run_pass_pooled, CompiledBlocks,
+    HbEvent, LoopCommModel, PassOutput, PassStats, Schedule, SimExecutor, ThreadPhase, ThreadSpan,
+    ThreadedPlan, WorkerPool,
 };
 use orion_sim::{ClusterSpec, FaultPlan, RunStats, VirtualTime};
 use orion_trace::{LinkBytes, LoadStats, OwnedSession, RunReport, SpanCat, Transfer};
@@ -618,71 +618,41 @@ impl Driver {
         Ok(stats)
     }
 
-    /// Executes one pass of a grid (2-D) schedule on real cores: space
-    /// partitions pinned per worker, time partitions rotated zero-copy
-    /// through channels (paper Fig. 8). Results are bit-identical to
-    /// [`Driver::run_pass`] over the same schedule.
+    /// Executes one pass of `plan` on real cores (see
+    /// [`run_pass_pooled`]): each worker runs its program with its
+    /// `state` pinned to its thread; the `parts` of a grid (2-D) plan
+    /// rotate zero-copy through channels (paper Fig. 8), while an
+    /// unrotated plan pins `parts[w]` to worker `w`. Results are
+    /// bit-identical to [`Driver::run_pass`] over the same schedule.
     ///
-    /// # Panics
-    ///
-    /// Panics if partition counts mismatch `plan` or a worker dies
-    /// mid-pass (with the worker's panic message).
     /// Under validation the pass's recorded [`HbEvent`] logs are fed to
     /// the loop's happens-before checker (`loop_name` keys the checker
     /// registered by [`Driver::parallel_for`]): every conflicting
     /// access pair must be ordered by a handoff or barrier edge, else
     /// the pass panics with a rendered O110–O112 diagnostic.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_pass_threaded<T, A, B, S, F, D>(
-        &mut self,
-        loop_name: &str,
-        plan: &Arc<ThreadedPlan>,
-        items: &Arc<Vec<T>>,
-        space: Vec<DistArray<A, D>>,
-        time: Vec<DistArray<B, D>>,
-        scratch: Vec<S>,
-        body: &Arc<F>,
-    ) -> GridPassOutput<A, B, S, D>
-    where
-        T: Send + Sync + 'static,
-        A: Element,
-        B: Element,
-        S: Send + 'static,
-        D: Device,
-        F: Fn(&T, &mut DistArray<A, D>, &mut DistArray<B, D>, &mut S) + Send + Sync + 'static,
-    {
-        self.ensure_pool(plan.n_workers());
-        let pool = self.pool.as_ref().expect("pool just ensured");
-        let out = run_grid_pass_pooled(pool, plan, items, space, time, scratch, body);
-        self.sanitize_hb(loop_name, plan.blocks(), &out.events, "threaded pass");
-        self.absorb_thread_spans(&out.spans, out.wall_ns);
-        out
-    }
-
-    /// Executes one pass of a 1-D / fully-parallel schedule on real
-    /// cores; each worker's scratch carries its partition of the model
-    /// state (or a write buffer for buffered loops).
     ///
     /// # Panics
     ///
-    /// Panics if the scratch count mismatches `plan` or a worker dies
-    /// mid-pass (with the worker's panic message).
-    pub fn run_pass_threaded_one_d<T, S, F>(
+    /// Panics if state or partition counts mismatch `plan` or a worker
+    /// dies mid-pass (with the worker's panic message).
+    pub fn run_pass_threaded<T, W, P, F>(
         &mut self,
         loop_name: &str,
         plan: &Arc<ThreadedPlan>,
         items: &Arc<Vec<T>>,
-        scratch: Vec<S>,
+        state: Vec<W>,
+        parts: Vec<P>,
         body: &Arc<F>,
-    ) -> OneDPassOutput<S>
+    ) -> PassOutput<W, P>
     where
         T: Send + Sync + 'static,
-        S: Send + 'static,
-        F: Fn(&T, &mut S) + Send + Sync + 'static,
+        W: Send + 'static,
+        P: Send + 'static,
+        F: Fn(&T, &mut W, &mut P) + Send + Sync + 'static,
     {
         self.ensure_pool(plan.n_workers());
         let pool = self.pool.as_ref().expect("pool just ensured");
-        let out = run_one_d_pass_pooled(pool, plan, items, scratch, body);
+        let out = run_pass_pooled(pool, plan, items, state, parts, body);
         self.sanitize_hb(loop_name, plan.blocks(), &out.events, "threaded pass");
         self.absorb_thread_spans(&out.spans, out.wall_ns);
         out
@@ -1236,8 +1206,7 @@ mod tests {
         assert!(d.validating());
         let (c, _items) = dense_mf(&mut d);
         let plan = ThreadedPlan::compile(&c.schedule);
-        let logs = orion_check::plan_event_log(&plan);
-        d.check_hb_events(&c, &logs, "faithful replay");
+        d.check_hb_events(&c, plan.programs(), "faithful replay");
     }
 
     #[test]
@@ -1249,7 +1218,7 @@ mod tests {
         let mut d = Driver::new(ClusterSpec::new(4, 1));
         let (c, _items) = dense_mf(&mut d);
         let plan = ThreadedPlan::compile(&c.schedule);
-        let mut logs = orion_check::plan_event_log(&plan);
+        let mut logs = plan.programs().to_vec();
         let (a, p, tp, dst) = logs
             .iter()
             .enumerate()

@@ -7,7 +7,10 @@
 //! the thread pool or the TCP runtime would still produce some final
 //! state. So the threaded engine and each distributed node record a
 //! per-actor [`HbEvent`] log — block executions, partition
-//! sends/receives, barrier crossings, server-side update applies — and
+//! sends/receives, barrier crossings, server-side update applies.
+//! Executions, sends and receives are also the steps of the per-worker
+//! programs ([`crate::ThreadedPlan::programs`]) the engines interpret,
+//! and
 //! `orion-check`'s happens-before detector rebuilds the vector-clock
 //! order from the handoff edges and verifies every conflicting
 //! DistArray access pair is ordered (`O110`–`O112`).
@@ -33,8 +36,8 @@ pub enum HbEvent {
         block: u32,
     },
     /// The actor sent time partition `tp` to actor `dst` (a rotation
-    /// edge; local re-enqueues are not recorded — program order covers
-    /// them).
+    /// edge; a partition that stays with its worker is no step —
+    /// program order covers it).
     Send {
         /// The rotated time partition.
         tp: u32,

@@ -11,10 +11,14 @@
 //!   order while advancing virtual clocks and the simulated network
 //!   (rotated-partition pipelining of Fig. 8, served-array prefetch
 //!   round trips of §4.4, barriers and point-to-point waits);
-//! - [`run_grid_pass_pooled`] / [`run_one_d_pass_pooled`] execute the
-//!   same schedules on a persistent [`WorkerPool`] of real OS threads
-//!   with partition ownership and zero-copy channel-based rotation —
-//!   the repo's real multi-core execution path;
+//! - [`ThreadedPlan::compile`] lowers a schedule into one program per
+//!   worker (`Recv` / `Exec` / `Send` steps) and [`run_program`]
+//!   interprets a program over any [`Transport`];
+//! - [`run_pass_pooled`] runs those programs on a persistent
+//!   [`WorkerPool`] of real OS threads with partition ownership and
+//!   zero-copy channel-based rotation — the repo's real multi-core
+//!   execution path (the TCP runtime runs the same interpreter over
+//!   sockets);
 //! - [`comm_model_from_plan`] derives the communication model from the
 //!   analyzer's array placements.
 //!
@@ -28,15 +32,16 @@
 //!   slice, never a scatter, so executing it remotely needs no index
 //!   translation beyond the partition's own origin offset.
 //! - **Single ownership** — at any step exactly one worker holds a given
-//!   time partition. Rotation edges (`Exec::awaited`,
-//!   `ThreadedPlan::forwards_of`) form per-partition chains, so a
-//!   serialized partition in flight can never race a concurrent writer.
-//! - **Deterministic order** — a worker's execution list and each
-//!   block's item order are fixed by the plan, independent of transport
-//!   timing. Same plan, same seed ⇒ the same floating-point operations
-//!   in the same order, which is what makes sim / threads / sockets
-//!   bit-identical ([`orion_net::plan_fingerprint`] hashes exactly this
-//!   structure).
+//!   time partition. Rotation edges (`Exec::awaited`, lowered to the
+//!   `Send`/`Recv` steps of [`ThreadedPlan::programs`]) form
+//!   per-partition chains, so a serialized partition in flight can
+//!   never race a concurrent writer.
+//! - **Deterministic order** — a worker's program and each block's item
+//!   order are fixed by the plan, independent of transport timing. Same
+//!   plan, same seed ⇒ the same floating-point operations in the same
+//!   order, which is what makes sim / threads / sockets bit-identical
+//!   ([`orion_net::plan_fingerprint`] hashes exactly the programs and
+//!   block table).
 //!
 //! [`orion_net::plan_fingerprint`]:
 //!     https://docs.rs/orion-net/latest/orion_net/fn.plan_fingerprint.html
@@ -62,6 +67,6 @@ pub use schedule::{
     ScheduleOptions, SyncMode, PIPELINE_DEPTH,
 };
 pub use threaded::{
-    run_grid_pass_pooled, run_one_d_pass_pooled, GridPassOutput, OneDPassOutput, ThreadPhase,
-    ThreadSpan, ThreadedPlan,
+    run_pass_pooled, run_program, PassOutput, ProgramTrace, ThreadPhase, ThreadSpan, ThreadedPlan,
+    Transport,
 };

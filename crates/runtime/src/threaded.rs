@@ -1,46 +1,47 @@
-//! Real multi-core execution of compiled schedules on a persistent
-//! [`WorkerPool`].
+//! Per-worker programs and their one interpreter, plus real multi-core
+//! execution of them on a persistent [`WorkerPool`].
 //!
-//! The simulated executor proves *what* the distributed computation
-//! computes and models *when*; this engine runs the same schedules with
-//! true concurrency: pool workers play the role of Orion executors, the
-//! space partition of each parameter array is owned by its worker, and
-//! rotated time partitions *move* between threads through channels —
-//! zero-copy, exactly like DistArray partitions travel between Orion
-//! executors (paper Fig. 8).
+//! [`ThreadedPlan::compile`] lowers a [`Schedule`] once into a *program*
+//! per worker: its steps in order — [`HbEvent::Recv`] a rotated
+//! partition, [`HbEvent::Exec`] a block, [`HbEvent::Send`] a partition
+//! downstream — plus the partitions it holds at pass start.
+//! [`run_program`] is the only code that walks a program. It is generic
+//! over a [`Transport`]: the pool passes partitions between threads
+//! through channels ([`run_pass_pooled`]), the TCP runtime between node
+//! processes through peer sockets. Pool workers play the role of Orion
+//! executors: a worker's own state stays pinned to its thread, and
+//! rotated time partitions *move*, zero-copy, exactly like DistArray
+//! partitions travel between Orion executors (paper Fig. 8).
 //!
-//! Pipelined rotation: a worker sends the time partition it just
-//! finished with downstream *before* starting its next block, and the
-//! unbounded parcel channel double-buffers the partition at the
-//! receiver while it is still computing. With the schedule's pipeline
-//! depth of [`crate::schedule::PIPELINE_DEPTH`], every worker already
-//! holds its next partition locally when it finishes a block, so
-//! rotation overlaps compute instead of serializing it.
+//! Pipelined rotation: a program sends the partition it just finished
+//! with downstream *before* its next block, and the unbounded channel
+//! double-buffers the partition at the receiver while it is still
+//! computing. With the schedule's pipeline depth of
+//! [`crate::schedule::PIPELINE_DEPTH`], every worker already holds its
+//! next partition when it finishes a block, so rotation overlaps compute
+//! instead of serializing it.
 //!
-//! Because every schedule produced by the analyzer is serializable, a
-//! threaded pass produces *bit-identical* results to the simulated
-//! single-threaded pass (asserted in app tests and the conformance
-//! proptests).
+//! The steps are the [`HbEvent`] vocabulary, and the interpreter records
+//! each step as it completes it, so an engine's happens-before log is
+//! its program by construction. Because every schedule produced by the
+//! analyzer is serializable, a pooled pass produces *bit-identical*
+//! results to the simulated single-threaded pass (asserted in app tests
+//! and the conformance proptests).
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use orion_dsm::{CpuDevice, Device, DistArray, Element};
-
 use crate::event::HbEvent;
 use crate::pool::WorkerPool;
-use crate::schedule::{Exec, Schedule};
+use crate::schedule::{CompiledBlocks, Exec, Schedule};
 
 /// How long a blocked parcel/result wait sleeps between checks of the
 /// pool's poison flag. Long enough to be free on the happy path, short
 /// enough that a peer panic surfaces promptly.
 const POISON_POLL: Duration = Duration::from_millis(50);
-
-/// A rotated time partition in flight between workers.
-type Parcel<B, D> = (usize, DistArray<B, D>);
 
 /// What a worker executes (compute) or waits on (rotation) during a
 /// threaded pass.
@@ -64,65 +65,82 @@ pub struct ThreadSpan {
     pub end_ns: u64,
 }
 
-/// A schedule compiled for the threaded engine: per-worker execution
-/// lists, the rotation topology (initial owners and forwarding edges),
-/// and the shared block table. Built once per loop and reused across
-/// passes and epochs behind an [`Arc`].
+/// A schedule lowered to one program per worker, with the shared block
+/// table. Built once per loop and reused across passes and epochs
+/// behind an [`Arc`].
+///
+/// Programs address *partition slots*. In a rotated (2-D) plan the
+/// slots are the rotated array's time partitions and block `b` runs
+/// against slot `b % n_parts`. An unrotated plan pins one slot to each
+/// worker: worker `w` holds slot `w` for the whole pass and its program
+/// has no `Recv`/`Send` steps.
 #[derive(Debug, Clone)]
 pub struct ThreadedPlan {
     n_workers: usize,
-    n_time: usize,
-    blocks: crate::schedule::CompiledBlocks,
-    /// Execution list of each worker, in step order.
-    per_worker: Vec<Vec<Exec>>,
-    /// `forward[w]` = `(step, dst)` pairs, sorted by step: after
-    /// finishing its step-`step` block, worker `w` sends the partition
-    /// it used to worker `dst`.
-    forward: Vec<Vec<(u64, usize)>>,
-    /// Time partitions each worker holds at pass start, in use order.
-    initial: Vec<Vec<usize>>,
+    n_parts: usize,
+    rotated: bool,
+    blocks: CompiledBlocks,
+    programs: Vec<Vec<HbEvent>>,
+    holds: Vec<Vec<usize>>,
 }
 
 impl ThreadedPlan {
-    /// Compiles `schedule` into the form the threaded engine executes.
-    /// Rotation edges whose source and destination coincide (single
-    /// worker owning the whole ring) become local re-enqueues: the
-    /// partition never leaves the thread, so the exec does not await a
-    /// channel.
+    /// Lowers `schedule` into per-worker programs. A rotation edge
+    /// between two workers becomes a `Send` right after the sender's
+    /// block and a `Recv` right before the receiver's; an edge whose
+    /// ends coincide (one worker owning the whole ring) becomes nothing,
+    /// since the partition never leaves its slot.
     pub fn compile(schedule: &Schedule) -> Self {
         let n_workers = schedule.n_workers;
-        let n_time = schedule.n_time_partitions;
         let rotated = schedule.time_partition.is_some();
-        let mut per_worker: Vec<Vec<Exec>> = vec![Vec::new(); n_workers];
-        let mut forward: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_workers];
-        let mut initial: Vec<Vec<usize>> = vec![Vec::new(); n_workers];
-        for step in &schedule.steps {
-            for e in step {
-                let mut exec = *e;
-                if rotated {
-                    match e.awaited {
-                        None => initial[e.worker].push(e.block % n_time),
-                        Some(a) => {
-                            if a.from_worker == e.worker {
-                                exec.awaited = None;
-                            }
-                            forward[a.from_worker].push((a.sent_after_step, e.worker));
-                        }
-                    }
-                }
-                per_worker[e.worker].push(exec);
+        let n_parts = if rotated {
+            schedule.n_time_partitions
+        } else {
+            n_workers
+        };
+        let execs = || schedule.steps.iter().flatten();
+        let crossing = |e: &Exec| e.awaited.filter(|a| rotated && a.from_worker != e.worker);
+        // At most one send per (worker, step): a worker runs one block
+        // per step and forwards that block's partition.
+        let sends: HashMap<(usize, u64), HbEvent> = execs()
+            .filter_map(|e| {
+                let a = crossing(e)?;
+                let send = HbEvent::Send {
+                    tp: a.time_partition as u32,
+                    dst: e.worker as u32,
+                };
+                Some(((a.from_worker, a.sent_after_step), send))
+            })
+            .collect();
+        let mut programs: Vec<Vec<HbEvent>> = vec![Vec::new(); n_workers];
+        let mut holds: Vec<Vec<usize>> = if rotated {
+            vec![Vec::new(); n_workers]
+        } else {
+            (0..n_workers).map(|w| vec![w]).collect()
+        };
+        for e in execs() {
+            let program = &mut programs[e.worker];
+            if rotated && e.awaited.is_none() {
+                holds[e.worker].push(e.block % n_parts);
             }
-        }
-        for f in &mut forward {
-            f.sort_unstable();
+            if let Some(a) = crossing(e) {
+                program.push(HbEvent::Recv {
+                    tp: a.time_partition as u32,
+                });
+            }
+            program.push(HbEvent::Exec {
+                step: e.step,
+                block: e.block as u32,
+            });
+            program.extend(sends.get(&(e.worker, e.step)).copied());
         }
         ThreadedPlan {
             n_workers,
-            n_time,
+            n_parts,
+            rotated,
             blocks: schedule.blocks.clone(),
-            per_worker,
-            forward,
-            initial,
+            programs,
+            holds,
         }
     }
 
@@ -131,21 +149,47 @@ impl ThreadedPlan {
         self.n_workers
     }
 
-    /// Time partitions rotated by the plan.
-    pub fn n_time_partitions(&self) -> usize {
-        self.n_time
+    /// Partition slots the programs address: the time partitions of a
+    /// rotated plan, one pinned slot per worker otherwise.
+    pub fn n_parts(&self) -> usize {
+        self.n_parts
+    }
+
+    /// Every worker's program, in worker order. A faithful execution
+    /// records exactly these as its happens-before logs.
+    pub fn programs(&self) -> &[Vec<HbEvent>] {
+        &self.programs
+    }
+
+    /// Partition slots `worker` holds at pass start, in use order.
+    pub fn initial_of(&self, worker: usize) -> &[usize] {
+        &self.holds[worker]
+    }
+
+    /// The slot block `block` runs against on `worker`.
+    fn slot_of(&self, worker: usize, block: usize) -> usize {
+        if self.rotated {
+            block % self.n_parts
+        } else {
+            worker
+        }
     }
 
     /// Item positions each worker touches, in execution order. Lets
     /// callers shard per-item state (e.g. LDA topic assignments) into
     /// per-worker scratch that the pass body consumes sequentially.
     pub fn worker_positions(&self) -> Vec<Vec<u32>> {
-        self.per_worker
+        self.programs
             .iter()
-            .map(|execs| {
-                execs
+            .map(|program| {
+                program
                     .iter()
-                    .flat_map(|e| self.blocks.items(e.block).iter().copied())
+                    .filter_map(|ev| match *ev {
+                        HbEvent::Exec { block, .. } => Some(self.blocks.items(block as usize)),
+                        _ => None,
+                    })
+                    .flatten()
+                    .copied()
                     .collect()
             })
             .collect()
@@ -156,41 +200,164 @@ impl ThreadedPlan {
         self.blocks.total_items()
     }
 
-    /// One worker's execution list, in step order. The socket runtime
-    /// walks this exactly as the in-process worker loop does.
-    pub fn execs_of(&self, worker: usize) -> &[Exec] {
-        &self.per_worker[worker]
-    }
-
-    /// One worker's rotation edges, `(step, dst)` sorted by step: after
-    /// finishing its step-`step` block the worker forwards the partition
-    /// it just used to `dst`.
-    pub fn forwards_of(&self, worker: usize) -> &[(u64, usize)] {
-        &self.forward[worker]
-    }
-
-    /// Time partitions `worker` holds at pass start, in use order.
-    pub fn initial_of(&self, worker: usize) -> &[usize] {
-        &self.initial[worker]
-    }
-
     /// The compiled block table shared by all workers.
-    pub fn blocks(&self) -> &crate::schedule::CompiledBlocks {
+    pub fn blocks(&self) -> &CompiledBlocks {
         &self.blocks
     }
 }
 
-/// Everything a grid pass hands back: space partitions (worker order),
-/// time partitions (partition order), per-worker scratch (worker
-/// order), per-worker timed phases, and the pass's wall-clock time.
+/// How a program's partitions travel between workers: channels between
+/// pool threads, peer sockets between node processes.
+pub trait Transport<P> {
+    /// Why a transfer gave up (a dead peer, a preempting control
+    /// message). [`run_program`] stops and hands it back unchanged.
+    type Abort;
+
+    /// Hands partition `tp` to worker `dst`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the transport's abort reason if the pass must stop.
+    fn send(&mut self, dst: usize, tp: usize, part: P) -> Result<(), Self::Abort>;
+
+    /// Blocks until partition `tp` arrives from upstream.
+    ///
+    /// # Errors
+    ///
+    /// Returns the transport's abort reason if the pass must stop.
+    fn recv(&mut self, tp: usize) -> Result<P, Self::Abort>;
+}
+
+/// What one run of a program recorded.
+#[derive(Debug, Clone, Default)]
+pub struct ProgramTrace {
+    /// Timed compute and rotation phases, relative to the pass start.
+    pub spans: Vec<ThreadSpan>,
+    /// The steps completed, in order: the worker's happens-before log.
+    pub events: Vec<HbEvent>,
+}
+
+/// Runs `worker`'s program of `plan`: the one interpreter every real
+/// engine uses.
+///
+/// `held` is the worker's slot table (length [`ThreadedPlan::n_parts`]):
+/// on entry it must hold the worker's [`ThreadedPlan::initial_of`]
+/// slots; on return it holds whatever the worker kept. `exec(block,
+/// part)` runs one block against the partition in its slot. Each
+/// receive and each block is timed against `start`.
+///
+/// # Errors
+///
+/// Returns the transport's abort reason as soon as a send or receive
+/// gives up; `held` is then partial.
+///
+/// # Panics
+///
+/// Panics if the program touches a slot the worker does not hold.
+pub fn run_program<P, X, E>(
+    plan: &ThreadedPlan,
+    worker: usize,
+    held: &mut [Option<P>],
+    transport: &mut X,
+    start: Instant,
+    mut exec: E,
+) -> Result<ProgramTrace, X::Abort>
+where
+    X: Transport<P>,
+    E: FnMut(usize, &mut P),
+{
+    // Grown on demand, not pre-sized from the program length: pre-sizing
+    // shifted glibc's per-thread arena reuse enough to raise the
+    // `mf_grid_threads` benchmark's peak RSS by ~9% (2-vCPU Linux VM).
+    let mut trace = ProgramTrace::default();
+    let now = || start.elapsed().as_nanos() as u64;
+    for &ev in &plan.programs[worker] {
+        match ev {
+            HbEvent::Recv { tp } => {
+                let from = now();
+                held[tp as usize] = Some(transport.recv(tp as usize)?);
+                trace.spans.push(ThreadSpan {
+                    phase: ThreadPhase::Rotation,
+                    start_ns: from,
+                    end_ns: now(),
+                });
+            }
+            HbEvent::Exec { block, .. } => {
+                let from = now();
+                let slot = plan.slot_of(worker, block as usize);
+                let part = held[slot].as_mut().unwrap_or_else(|| {
+                    panic!("worker {worker} runs block {block} without slot {slot}")
+                });
+                exec(block as usize, part);
+                trace.spans.push(ThreadSpan {
+                    phase: ThreadPhase::Compute,
+                    start_ns: from,
+                    end_ns: now(),
+                });
+            }
+            HbEvent::Send { tp, dst } => {
+                let part = held[tp as usize]
+                    .take()
+                    .unwrap_or_else(|| panic!("worker {worker} sends slot {tp} it does not hold"));
+                transport.send(dst as usize, tp as usize, part)?;
+            }
+            other => unreachable!("programs hold no {other:?} steps"),
+        }
+        trace.events.push(ev);
+    }
+    Ok(trace)
+}
+
+/// A rotated partition in flight between pool workers.
+type Parcel<P> = (usize, P);
+
+/// The pool's transport: one parcel channel per worker. A worker's own
+/// sender slot is empty (rotation edges never target their sender), so
+/// a pass abandoned on poison drops every foreign sender it holds.
+struct Channels<P> {
+    rx: Receiver<Parcel<P>>,
+    tx: Vec<Option<Sender<Parcel<P>>>>,
+    poison: Arc<AtomicBool>,
+}
+
+impl<P> Transport<P> for Channels<P> {
+    /// A peer died; the pass is abandoned and the collector reports the
+    /// panic.
+    type Abort = ();
+
+    fn send(&mut self, dst: usize, tp: usize, part: P) -> Result<(), ()> {
+        let tx = self.tx[dst].as_ref().expect("rotation edges cross workers");
+        tx.send((tp, part)).map_err(drop)
+    }
+
+    /// Blocking receive that bails out when the pool is poisoned or the
+    /// upstream sender vanished, so a peer panic can never deadlock the
+    /// rotation ring.
+    fn recv(&mut self, tp: usize) -> Result<P, ()> {
+        loop {
+            match self.rx.recv_timeout(POISON_POLL) {
+                Ok((got, part)) => {
+                    assert_eq!(got, tp, "partitions arrive in program order");
+                    return Ok(part);
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    if self.poison.load(Ordering::SeqCst) {
+                        return Err(());
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => return Err(()),
+            }
+        }
+    }
+}
+
+/// Everything a pooled pass hands back.
 #[derive(Debug)]
-pub struct GridPassOutput<A: Element, B: Element, S, D: Device = CpuDevice> {
-    /// Space partitions after the pass, one per worker.
-    pub space: Vec<DistArray<A, D>>,
-    /// Rotated time partitions after the pass, in partition order.
-    pub time: Vec<DistArray<B, D>>,
-    /// Per-worker scratch state after the pass.
-    pub scratch: Vec<S>,
+pub struct PassOutput<W, P> {
+    /// Per-worker state after the pass, in worker order.
+    pub state: Vec<W>,
+    /// Partitions after the pass, in slot order.
+    pub parts: Vec<P>,
     /// Timed compute/rotation phases per worker.
     pub spans: Vec<Vec<ThreadSpan>>,
     /// Per-worker happens-before event logs (program order), for the
@@ -200,208 +367,106 @@ pub struct GridPassOutput<A: Element, B: Element, S, D: Device = CpuDevice> {
     pub wall_ns: u64,
 }
 
-/// Everything a 1-D pass hands back: per-worker scratch (which carries
-/// the space partitions for partition-owning passes), spans, and
-/// wall-clock time.
-#[derive(Debug)]
-pub struct OneDPassOutput<S> {
-    /// Per-worker scratch state after the pass.
-    pub scratch: Vec<S>,
-    /// Timed compute phases per worker.
-    pub spans: Vec<Vec<ThreadSpan>>,
-    /// Per-worker happens-before event logs (`Exec` only — 1-D passes
-    /// have no rotation edges), for the `O11x` causality checker.
-    pub events: Vec<Vec<HbEvent>>,
-    /// Wall-clock duration of the pass in nanoseconds.
-    pub wall_ns: u64,
-}
-
-/// Executes one pass of a 2-D (grid) schedule on the pool.
+/// Executes one pass of `plan` on the pool: worker `w` runs its program
+/// with `state[w]` pinned to its thread.
 ///
 /// - `items`: the iteration items the schedule was built over, shared
 ///   immutably with every worker.
-/// - `space_parts`: one partition of the space-aligned array per worker
-///   (from [`DistArray::split_along`] with the schedule's
-///   `space_partition` ranges); moved in, moved back out.
-/// - `time_parts`: one partition of the rotated array per time
-///   partition; moved through channels during rotation, never cloned.
-/// - `scratch`: arbitrary per-worker mutable state (buffers, RNG
-///   shards, counters) threaded through the pass.
+/// - `state`: one per worker, moved in and back out — e.g. the worker's
+///   space partition (from [`orion_dsm::DistArray::split_along`] with
+///   the schedule's `space_partition` ranges), buffers, RNG shards.
+/// - `parts`: one per partition slot ([`ThreadedPlan::n_parts`]). For a
+///   rotated plan these are the rotated array's time partitions, moved
+///   through channels, never cloned; an unrotated plan pins `parts[w]`
+///   to worker `w` (pass `vec![(); n]` when there is nothing to pin).
 /// - `body`: the loop body, applied to each item against the worker's
-///   current space partition, the rotated partition, and its scratch.
+///   state and the partition its block runs against.
 ///
 /// # Panics
 ///
-/// Panics if partition counts do not match the plan, if the pool is
-/// smaller than the plan's worker count, or — with the panicking
-/// worker's message — if a worker dies mid-pass.
-pub fn run_grid_pass_pooled<T, A, B, S, F, D>(
+/// Panics if the state or partition counts do not match the plan, if
+/// the pool is smaller than the plan's worker count, or — with the
+/// panicking worker's message — if a worker dies mid-pass.
+pub fn run_pass_pooled<T, W, P, F>(
     pool: &WorkerPool,
     plan: &Arc<ThreadedPlan>,
     items: &Arc<Vec<T>>,
-    space_parts: Vec<DistArray<A, D>>,
-    time_parts: Vec<DistArray<B, D>>,
-    scratch: Vec<S>,
+    state: Vec<W>,
+    parts: Vec<P>,
     body: &Arc<F>,
-) -> GridPassOutput<A, B, S, D>
+) -> PassOutput<W, P>
 where
     T: Send + Sync + 'static,
-    A: Element,
-    B: Element,
-    S: Send + 'static,
-    D: Device,
-    F: Fn(&T, &mut DistArray<A, D>, &mut DistArray<B, D>, &mut S) + Send + Sync + 'static,
+    W: Send + 'static,
+    P: Send + 'static,
+    F: Fn(&T, &mut W, &mut P) + Send + Sync + 'static,
 {
     let n_workers = plan.n_workers;
-    let n_time = plan.n_time;
+    let n_parts = plan.n_parts;
     assert!(
         pool.size() >= n_workers,
         "pool has {} workers but the plan needs {n_workers}",
         pool.size()
     );
-    assert_eq!(
-        space_parts.len(),
-        n_workers,
-        "one space partition per worker"
-    );
-    assert_eq!(scratch.len(), n_workers, "one scratch slot per worker");
-    assert_eq!(
-        time_parts.len(),
-        n_time,
-        "one array partition per time partition"
+    assert_eq!(state.len(), n_workers, "one state slot per worker");
+    assert_eq!(parts.len(), n_parts, "one partition per slot");
+
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_workers).map(|_| channel()).unzip();
+    let mut parts: Vec<Option<P>> = parts.into_iter().map(Some).collect();
+    let tables: Vec<Vec<Option<P>>> = (0..n_workers)
+        .map(|w| {
+            let mut held: Vec<Option<P>> = (0..n_parts).map(|_| None).collect();
+            for &tp in &plan.holds[w] {
+                held[tp] = Some(parts[tp].take().expect("each partition starts once"));
+            }
+            held
+        })
+        .collect();
+    assert!(
+        parts.iter().all(Option::is_none),
+        "every partition must have an initial holder"
     );
 
-    // Parcel channel per worker; each worker's sender table has its own
-    // slot empty (rotation edges never target their sender), so a pass
-    // abandoned on poison drops every foreign sender it holds.
-    type Endpoints<B, D> = (Vec<Sender<Parcel<B, D>>>, Vec<Receiver<Parcel<B, D>>>);
-    type SenderTable<B, D> = Vec<Option<Sender<Parcel<B, D>>>>;
-    let (senders, receivers): Endpoints<B, D> = (0..n_workers).map(|_| channel()).unzip();
-    let sender_tables: Vec<SenderTable<B, D>> = (0..n_workers)
-        .map(|w| {
-            senders
+    type WorkerResult<W, P> = (usize, W, Vec<Option<P>>, ProgramTrace);
+    let (result_tx, result_rx) = channel::<WorkerResult<W, P>>();
+    let poison = pool.poison_flag();
+    let start = Instant::now();
+    let worker_inputs = state.into_iter().zip(tables).zip(receivers);
+    for (w, ((mut st, mut held), rx)) in worker_inputs.enumerate() {
+        let mut transport = Channels {
+            rx,
+            tx: senders
                 .iter()
                 .enumerate()
                 .map(|(dst, s)| (dst != w).then(|| s.clone()))
-                .collect()
-        })
-        .collect();
-    drop(senders);
-
-    // Seed each worker's local queue with its initial time partitions.
-    let mut time_slot: Vec<Option<DistArray<B, D>>> = time_parts.into_iter().map(Some).collect();
-    let mut local_queues: Vec<VecDeque<Parcel<B, D>>> = vec![VecDeque::new(); n_workers];
-    for (w, init) in plan.initial.iter().enumerate() {
-        for &tp in init {
-            let part = time_slot[tp].take().expect("each partition starts once");
-            local_queues[w].push_back((tp, part));
-        }
-    }
-    assert!(
-        time_slot.iter().all(Option::is_none),
-        "every time partition must have an initial owner"
-    );
-
-    type GridResult<A, B, S, D> = (
-        usize,
-        DistArray<A, D>,
-        Vec<Parcel<B, D>>,
-        VecDeque<Parcel<B, D>>,
-        S,
-        Vec<ThreadSpan>,
-        Vec<HbEvent>,
-    );
-    let (result_tx, result_rx) = channel::<GridResult<A, B, S, D>>();
-    let poison = pool.poison_flag();
-    let start = Instant::now();
-
-    let worker_inputs = space_parts
-        .into_iter()
-        .zip(local_queues)
-        .zip(scratch)
-        .zip(receivers)
-        .zip(sender_tables)
-        .enumerate();
-    for (w, ((((mut space, mut queue), mut sc), rx), mut senders)) in worker_inputs {
+                .collect(),
+            poison: Arc::clone(&poison),
+        };
         let plan = Arc::clone(plan);
         let items = Arc::clone(items);
         let body = Arc::clone(body);
         let result_tx = result_tx.clone();
-        let poison = Arc::clone(&poison);
         let job = Box::new(move || {
-            let mut kept: Vec<Parcel<B, D>> = Vec::new();
-            let mut spans: Vec<ThreadSpan> = Vec::new();
-            let mut events: Vec<HbEvent> = Vec::new();
-            let mut forwards = plan.forward[w].iter();
-            let mut next_forward = forwards.next();
-            for e in &plan.per_worker[w] {
-                if e.awaited.is_some() {
-                    let wait_from = start.elapsed().as_nanos() as u64;
-                    match recv_parcel(&rx, &poison) {
-                        Some(parcel) => {
-                            events.push(HbEvent::Recv {
-                                tp: parcel.0 as u32,
-                            });
-                            queue.push_back(parcel);
-                        }
-                        None => return, // peer died; pass abandoned
-                    }
-                    spans.push(ThreadSpan {
-                        phase: ThreadPhase::Rotation,
-                        start_ns: wait_from,
-                        end_ns: start.elapsed().as_nanos() as u64,
-                    });
+            let run = run_program(&plan, w, &mut held, &mut transport, start, |block, part| {
+                for &pos in plan.blocks.items(block) {
+                    body(&items[pos as usize], &mut st, part);
                 }
-                let (tp, mut part) = queue.pop_front().expect("schedule keeps queues fed");
-                debug_assert_eq!(tp, e.block % plan.n_time, "queue order must match schedule");
-                let block_from = start.elapsed().as_nanos() as u64;
-                for &pos in plan.blocks.items(e.block) {
-                    body(&items[pos as usize], &mut space, &mut part, &mut sc);
-                }
-                events.push(HbEvent::Exec {
-                    step: e.step,
-                    block: e.block as u32,
-                });
-                spans.push(ThreadSpan {
-                    phase: ThreadPhase::Compute,
-                    start_ns: block_from,
-                    end_ns: start.elapsed().as_nanos() as u64,
-                });
-                // Fig. 8: the partition leaves for its next worker
-                // before this worker starts its own next block.
-                match next_forward {
-                    Some(&(step, dst)) if step == e.step => {
-                        next_forward = forwards.next();
-                        if dst == w {
-                            // Single-owner ring: re-enqueue locally.
-                            queue.push_back((tp, part));
-                        } else {
-                            events.push(HbEvent::Send {
-                                tp: tp as u32,
-                                dst: dst as u32,
-                            });
-                            let tx = senders[dst].as_ref().expect("rotation edges cross workers");
-                            if tx.send((tp, part)).is_err() {
-                                return; // downstream died; pass abandoned
-                            }
-                        }
-                    }
-                    _ => kept.push((tp, part)),
-                }
-            }
+            });
             // Release foreign senders before reporting so channel
             // disconnects propagate even if the result is never read.
-            senders.clear();
-            drop(rx);
-            let _ = result_tx.send((w, space, kept, queue, sc, spans, events));
+            drop(transport);
+            if let Ok(trace) = run {
+                let _ = result_tx.send((w, st, held, trace));
+            }
         });
         if let Err(_job) = pool.submit(w, job) {
             break; // poison; the collection loop reports the panic
         }
     }
+    drop(senders);
     drop(result_tx);
 
-    let mut results: Vec<GridResult<A, B, S, D>> = Vec::with_capacity(n_workers);
+    let mut results: Vec<WorkerResult<W, P>> = Vec::with_capacity(n_workers);
     while results.len() < n_workers {
         match result_rx.recv_timeout(POISON_POLL) {
             Ok(r) => results.push(r),
@@ -425,151 +490,31 @@ where
     let wall_ns = start.elapsed().as_nanos() as u64;
 
     results.sort_by_key(|r| r.0);
-    let mut out_space = Vec::with_capacity(n_workers);
-    let mut out_scratch = Vec::with_capacity(n_workers);
-    let mut out_spans = Vec::with_capacity(n_workers);
-    let mut out_events = Vec::with_capacity(n_workers);
-    let mut out_time: Vec<Option<DistArray<B, D>>> = (0..n_time).map(|_| None).collect();
-    for (_, space, kept, queue, sc, spans, events) in results {
-        out_space.push(space);
-        out_scratch.push(sc);
-        out_spans.push(spans);
-        out_events.push(events);
-        for (tp, part) in kept.into_iter().chain(queue) {
-            assert!(out_time[tp].is_none(), "time partition {tp} duplicated");
-            out_time[tp] = Some(part);
+    let mut state = Vec::with_capacity(n_workers);
+    let mut spans = Vec::with_capacity(n_workers);
+    let mut events = Vec::with_capacity(n_workers);
+    for (_, st, held, trace) in results {
+        state.push(st);
+        spans.push(trace.spans);
+        events.push(trace.events);
+        for (tp, part) in held.into_iter().enumerate() {
+            if let Some(part) = part {
+                assert!(parts[tp].is_none(), "partition {tp} duplicated");
+                parts[tp] = Some(part);
+            }
         }
     }
-    let time = out_time
+    let parts = parts
         .into_iter()
         .enumerate()
-        .map(|(tp, p)| p.unwrap_or_else(|| panic!("time partition {tp} lost")))
+        .map(|(tp, p)| p.unwrap_or_else(|| panic!("partition {tp} lost")))
         .collect();
-    GridPassOutput {
-        space: out_space,
-        time,
-        scratch: out_scratch,
-        spans: out_spans,
-        events: out_events,
+    PassOutput {
+        state,
+        parts,
+        spans,
+        events,
         wall_ns,
-    }
-}
-
-/// Executes one pass of a 1-D (or fully-parallel) schedule on the
-/// pool: no rotated array, each worker runs its items against its own
-/// scratch (which typically carries its space partition).
-///
-/// # Panics
-///
-/// Panics if the scratch count does not match the plan, if the pool is
-/// too small, or — with the panicking worker's message — if a worker
-/// dies mid-pass.
-pub fn run_one_d_pass_pooled<T, S, F>(
-    pool: &WorkerPool,
-    plan: &Arc<ThreadedPlan>,
-    items: &Arc<Vec<T>>,
-    scratch: Vec<S>,
-    body: &Arc<F>,
-) -> OneDPassOutput<S>
-where
-    T: Send + Sync + 'static,
-    S: Send + 'static,
-    F: Fn(&T, &mut S) + Send + Sync + 'static,
-{
-    let n_workers = plan.n_workers;
-    assert!(
-        pool.size() >= n_workers,
-        "pool has {} workers but the plan needs {n_workers}",
-        pool.size()
-    );
-    assert_eq!(scratch.len(), n_workers, "one scratch slot per worker");
-    type OneDResult<S> = (usize, S, Vec<ThreadSpan>, Vec<HbEvent>);
-    let (result_tx, result_rx) = channel::<OneDResult<S>>();
-    let start = Instant::now();
-    for (w, mut sc) in scratch.into_iter().enumerate() {
-        let plan = Arc::clone(plan);
-        let items = Arc::clone(items);
-        let body = Arc::clone(body);
-        let result_tx = result_tx.clone();
-        let job = Box::new(move || {
-            let mut spans = Vec::new();
-            let mut events = Vec::new();
-            for e in &plan.per_worker[w] {
-                let block_from = start.elapsed().as_nanos() as u64;
-                for &pos in plan.blocks.items(e.block) {
-                    body(&items[pos as usize], &mut sc);
-                }
-                events.push(HbEvent::Exec {
-                    step: e.step,
-                    block: e.block as u32,
-                });
-                spans.push(ThreadSpan {
-                    phase: ThreadPhase::Compute,
-                    start_ns: block_from,
-                    end_ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            let _ = result_tx.send((w, sc, spans, events));
-        });
-        if let Err(_job) = pool.submit(w, job) {
-            break;
-        }
-    }
-    drop(result_tx);
-
-    let mut results: Vec<OneDResult<S>> = Vec::with_capacity(n_workers);
-    while results.len() < n_workers {
-        match result_rx.recv_timeout(POISON_POLL) {
-            Ok(r) => results.push(r),
-            Err(err) => {
-                if let Some(msg) = pool.panic_message() {
-                    panic!("{msg}");
-                }
-                if err == RecvTimeoutError::Disconnected {
-                    std::thread::sleep(POISON_POLL);
-                    match pool.panic_message() {
-                        Some(msg) => panic!("{msg}"),
-                        None => panic!("threaded pass lost workers without a recorded panic"),
-                    }
-                }
-            }
-        }
-    }
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    results.sort_by_key(|r| r.0);
-    let mut out_scratch = Vec::with_capacity(n_workers);
-    let mut out_spans = Vec::with_capacity(n_workers);
-    let mut out_events = Vec::with_capacity(n_workers);
-    for (_, sc, spans, events) in results {
-        out_scratch.push(sc);
-        out_spans.push(spans);
-        out_events.push(events);
-    }
-    OneDPassOutput {
-        scratch: out_scratch,
-        spans: out_spans,
-        events: out_events,
-        wall_ns,
-    }
-}
-
-/// Blocking parcel receive that bails out (returning `None`) when the
-/// pool is poisoned or the upstream sender vanished, so a peer panic
-/// can never deadlock the rotation ring.
-fn recv_parcel<B: Element, D: Device>(
-    rx: &Receiver<Parcel<B, D>>,
-    poison: &AtomicBool,
-) -> Option<Parcel<B, D>> {
-    loop {
-        match rx.recv_timeout(POISON_POLL) {
-            Ok(parcel) => return Some(parcel),
-            Err(RecvTimeoutError::Timeout) => {
-                if poison.load(Ordering::SeqCst) {
-                    return None;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return None,
-        }
     }
 }
 
@@ -578,6 +523,7 @@ mod tests {
     use super::*;
     use crate::schedule::build_schedule;
     use orion_analysis::Strategy;
+    use orion_dsm::DistArray;
 
     fn grid_items(m: i64, n: i64) -> Vec<(Vec<i64>, f32)> {
         (0..m)
@@ -619,25 +565,21 @@ mod tests {
         let sp = sched.space_partition.as_ref().unwrap();
         let tp = sched.time_partition.as_ref().unwrap();
         let body = Arc::new(
-            |(idx, _v): &(Vec<i64>, f32),
-             wp: &mut DistArray<u32>,
-             hp: &mut DistArray<u32>,
-             _: &mut ()| {
+            |(idx, _v): &(Vec<i64>, f32), wp: &mut DistArray<u32>, hp: &mut DistArray<u32>| {
                 wp.update(&[idx[0], 0], |c| *c += 1);
                 hp.update(&[idx[1], 0], |c| *c += 1);
             },
         );
-        let out = run_grid_pass_pooled(
+        let out = run_pass_pooled(
             &pool,
             &plan,
             &items,
             w.split_along(0, &sp.ranges),
             h.split_along(0, &tp.ranges),
-            vec![(); 4],
             &body,
         );
-        let w = DistArray::merge_along(0, out.space);
-        let h = DistArray::merge_along(0, out.time);
+        let w = DistArray::merge_along(0, out.state);
+        let h = DistArray::merge_along(0, out.parts);
         for r in 0..8 {
             assert_eq!(w.get(&[r, 0]), Some(&8));
             assert_eq!(h.get(&[r, 0]), Some(&8));
@@ -653,7 +595,13 @@ mod tests {
                 .iter()
                 .filter(|e| matches!(e, HbEvent::Exec { .. }))
                 .count();
-            assert_eq!(execs, plan.execs_of(w).len());
+            let scheduled = sched
+                .steps
+                .iter()
+                .flatten()
+                .filter(|e| e.worker == w)
+                .count();
+            assert_eq!(execs, scheduled);
         }
         let sends: usize = out
             .events
@@ -669,6 +617,11 @@ mod tests {
             .count();
         assert_eq!(sends, recvs);
         assert!(sends > 0, "a 4-worker grid pass rotates partitions");
+        assert_eq!(
+            out.events,
+            plan.programs(),
+            "the recorded logs are the programs"
+        );
     }
 
     #[test]
@@ -681,25 +634,21 @@ mod tests {
         let sp = sched.space_partition.clone().unwrap();
         let tp = sched.time_partition.clone().unwrap();
         let body = Arc::new(
-            |(idx, v): &(Vec<i64>, f32),
-             wp: &mut DistArray<f32>,
-             hp: &mut DistArray<f32>,
-             _: &mut ()| {
+            |(idx, v): &(Vec<i64>, f32), wp: &mut DistArray<f32>, hp: &mut DistArray<f32>| {
                 wp.update(&[idx[0], 0], |c| *c += v);
                 hp.update(&[idx[1], 0], |c| *c += v * 2.0);
             },
         );
-        let out = run_grid_pass_pooled(
+        let out = run_pass_pooled(
             &pool,
             &plan,
             &items,
             w.clone().split_along(0, &sp.ranges),
             h.clone().split_along(0, &tp.ranges),
-            vec![(); 5],
             &body,
         );
-        let tw = DistArray::merge_along(0, out.space);
-        let th = DistArray::merge_along(0, out.time);
+        let tw = DistArray::merge_along(0, out.state);
+        let th = DistArray::merge_along(0, out.parts);
 
         let mut sw = w;
         let mut sh = h;
@@ -719,25 +668,21 @@ mod tests {
         let sp = sched.space_partition.clone().unwrap();
         let tp = sched.time_partition.clone().unwrap();
         let body = Arc::new(
-            |(idx, _v): &(Vec<i64>, f32),
-             wp: &mut DistArray<u32>,
-             hp: &mut DistArray<u32>,
-             _: &mut ()| {
+            |(idx, _v): &(Vec<i64>, f32), wp: &mut DistArray<u32>, hp: &mut DistArray<u32>| {
                 wp.update(&[idx[0], 0], |c| *c += 1);
                 hp.update(&[idx[1], 0], |c| *c += 1);
             },
         );
-        let out = run_grid_pass_pooled(
+        let out = run_pass_pooled(
             &pool,
             &plan,
             &items,
             w.split_along(0, &sp.ranges),
             h.split_along(0, &tp.ranges),
-            vec![(); 3],
             &body,
         );
-        let w = DistArray::merge_along(0, out.space);
-        let h = DistArray::merge_along(0, out.time);
+        let w = DistArray::merge_along(0, out.state);
+        let h = DistArray::merge_along(0, out.parts);
         assert!(w.iter().all(|(_, &c)| c == 6));
         assert!(h.iter().all(|(_, &c)| c == 6));
     }
@@ -752,11 +697,21 @@ mod tests {
         let items = Arc::new(items);
         let w: DistArray<u32> = DistArray::dense("w", vec![8, 1]);
         let sp = sched.space_partition.clone().unwrap();
-        let body = Arc::new(|(idx, _v): &(Vec<i64>, f32), wp: &mut DistArray<u32>| {
-            wp.update(&[idx[0], 0], |c| *c += 1);
-        });
-        let out = run_one_d_pass_pooled(&pool, &plan, &items, w.split_along(0, &sp.ranges), &body);
-        let w = DistArray::merge_along(0, out.scratch);
+        let body = Arc::new(
+            |(idx, _v): &(Vec<i64>, f32), wp: &mut DistArray<u32>, _: &mut ()| {
+                wp.update(&[idx[0], 0], |c| *c += 1);
+            },
+        );
+        let parts = vec![(); plan.n_workers()];
+        let out = run_pass_pooled(
+            &pool,
+            &plan,
+            &items,
+            w.split_along(0, &sp.ranges),
+            parts,
+            &body,
+        );
+        let w = DistArray::merge_along(0, out.state);
         assert!(w.iter().all(|(_, &c)| c == 4));
     }
 
@@ -766,10 +721,7 @@ mod tests {
         let sp = sched.space_partition.clone().unwrap();
         let tp = sched.time_partition.clone().unwrap();
         let body = Arc::new(
-            |(idx, _v): &(Vec<i64>, f32),
-             wp: &mut DistArray<u32>,
-             hp: &mut DistArray<u32>,
-             _: &mut ()| {
+            |(idx, _v): &(Vec<i64>, f32), wp: &mut DistArray<u32>, hp: &mut DistArray<u32>| {
                 wp.update(&[idx[0], 0], |c| *c += 1);
                 hp.update(&[idx[1], 0], |c| *c += 1);
             },
@@ -777,10 +729,9 @@ mod tests {
         let mut w_parts = DistArray::<u32>::dense("w", vec![8, 1]).split_along(0, &sp.ranges);
         let mut h_parts = DistArray::<u32>::dense("h", vec![8, 1]).split_along(0, &tp.ranges);
         for _ in 0..3 {
-            let out =
-                run_grid_pass_pooled(&pool, &plan, &items, w_parts, h_parts, vec![(); 4], &body);
-            w_parts = out.space;
-            h_parts = out.time;
+            let out = run_pass_pooled(&pool, &plan, &items, w_parts, h_parts, &body);
+            w_parts = out.state;
+            h_parts = out.parts;
         }
         let w = DistArray::merge_along(0, w_parts);
         assert!(w.iter().all(|(_, &c)| c == 24));
@@ -793,23 +744,19 @@ mod tests {
         let sp = sched.space_partition.clone().unwrap();
         let tp = sched.time_partition.clone().unwrap();
         let body = Arc::new(
-            |(idx, _v): &(Vec<i64>, f32),
-             _wp: &mut DistArray<u32>,
-             _hp: &mut DistArray<u32>,
-             _: &mut ()| {
+            |(idx, _v): &(Vec<i64>, f32), _wp: &mut DistArray<u32>, _hp: &mut DistArray<u32>| {
                 assert!(idx[0] != 5, "poisoned row reached the loop body");
             },
         );
         let w: DistArray<u32> = DistArray::dense("w", vec![8, 1]);
         let h: DistArray<u32> = DistArray::dense("h", vec![8, 1]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_grid_pass_pooled(
+            run_pass_pooled(
                 &pool,
                 &plan,
                 &items,
                 w.split_along(0, &sp.ranges),
                 h.split_along(0, &tp.ranges),
-                vec![(); 4],
                 &body,
             )
         }));

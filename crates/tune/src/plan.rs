@@ -1,7 +1,7 @@
 //! Candidate enumeration, prediction, measurement, and plan selection.
 
 use orion_analysis::{analyze, plan_placements_with, CostParams, ParallelPlan, Strategy, UniMat};
-use orion_check::{plan_event_log, HbChecker, RaceChecker};
+use orion_check::{HbChecker, RaceChecker};
 use orion_ir::{ArrayMeta, Code, Diagnostic, LoopSpec, Severity};
 use orion_runtime::{
     build_schedule, comm_model_with_spec, LoopCommModel, PrefetchMode, Schedule, ThreadedPlan,
@@ -489,9 +489,8 @@ fn validate_schedule<I: AsRef<[i64]>>(
         );
     }
     let plan = ThreadedPlan::compile(schedule);
-    let logs = plan_event_log(&plan);
     let mut hb = HbChecker::new(spec, metas, indices);
-    if let Err(v) = hb.check_pass(plan.blocks(), &logs, "tuned plan") {
+    if let Err(v) = hb.check_pass(plan.blocks(), plan.programs(), "tuned plan") {
         panic!(
             "tuned schedule tripped the happens-before checker:\n{}",
             v.to_diagnostic().render()

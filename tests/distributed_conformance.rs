@@ -12,6 +12,7 @@ use orion::apps::distributed::{self, DistOptions};
 use orion::apps::{sgd_mf, slr};
 use orion::core::ClusterSpec;
 use orion::data::{RatingsConfig, RatingsData, SparseConfig, SparseData};
+use orion::runtime::HbEvent;
 
 const NODES: usize = 4;
 
@@ -53,6 +54,15 @@ fn mf_conformance() {
             .any(|l| l.src < NODES && l.dst < NODES && l.bytes > 0)),
         "every MF epoch rotates partitions over real sockets"
     );
+    // Every node records exactly its program, every epoch.
+    for e in &out.epochs {
+        assert_eq!(
+            e.events,
+            out.plan.programs(),
+            "epoch {}: node logs must equal the node programs",
+            e.epoch
+        );
+    }
     assert_eq!(
         sim_model.w, out.model.w,
         "W must be bit-identical to the sim oracle"
@@ -81,6 +91,20 @@ fn slr_conformance() {
     let out = distributed::train_slr_distributed(&data, cfg, &opts)
         .expect("distributed SLR run succeeds");
     assert_eq!(out.recoveries, 0, "fault-free run must not recover");
+    // Every node records its program, then the coordinator's apply of
+    // its buffered updates, every epoch.
+    for e in &out.epochs {
+        assert_eq!(e.events.len(), NODES, "every node reports its log");
+        for (node, log) in e.events.iter().enumerate() {
+            let mut expected = out.plan.programs()[node].clone();
+            expected.push(HbEvent::ServerApply { node: node as u32 });
+            assert_eq!(
+                log, &expected,
+                "epoch {}: node {node} log must equal its program",
+                e.epoch
+            );
+        }
+    }
     assert_eq!(
         sim_model.weights, out.model.weights,
         "weights must be bit-identical to the sim oracle"

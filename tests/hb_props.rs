@@ -6,7 +6,7 @@
 
 use orion::analysis::Strategy;
 use orion::apps::specs;
-use orion::check::{plan_event_log, HbChecker, HbViolation};
+use orion::check::{HbChecker, HbViolation};
 use orion::ir::{ArrayMeta, DistArrayId, LoopSpec, Subscript};
 use orion::runtime::{build_schedule, HbEvent, ThreadedPlan};
 use proptest::prelude::*;
@@ -82,9 +82,8 @@ proptest! {
         let mut app = specs::canonical().swap_remove(app_idx);
         app.n_workers = workers;
         let plan = ThreadedPlan::compile(&app.schedule(&app.analyze()));
-        let logs = plan_event_log(&plan);
         let mut checker = HbChecker::new(&app.spec, &app.metas, &app.indices);
-        let verdict = checker.check_pass(plan.blocks(), &logs, "prop");
+        let verdict = checker.check_pass(plan.blocks(), plan.programs(), "prop");
         prop_assert!(
             verdict.is_ok(),
             "faithful {} log fired: {}",
@@ -98,7 +97,7 @@ proptest! {
     #[test]
     fn severed_handoffs_always_race(n in 4i64..9, workers in 2usize..5, pick in 0usize..64) {
         let (spec, metas, indices, plan) = dense_mf(n, workers);
-        let mut logs = plan_event_log(&plan);
+        let mut logs = plan.programs().to_vec();
         let sends = send_positions(&logs);
         prop_assume!(!sends.is_empty());
         let (actor, pos) = sends[pick % sends.len()];
@@ -115,7 +114,7 @@ proptest! {
     #[test]
     fn orphaned_recvs_are_unmatched_edges(n in 4i64..9, workers in 2usize..5, pick in 0usize..64) {
         let (spec, metas, indices, plan) = dense_mf(n, workers);
-        let mut logs = plan_event_log(&plan);
+        let mut logs = plan.programs().to_vec();
         let sends = send_positions(&logs);
         prop_assume!(!sends.is_empty());
         let (actor, pos) = sends[pick % sends.len()];
@@ -144,11 +143,11 @@ proptest! {
         let indices: Vec<Vec<i64>> = (0..4).map(|i| vec![i, 0]).collect();
         let schedule = build_schedule(&Strategy::OneD { dim: 0 }, &indices, &[4, 1], 2);
         let plan = ThreadedPlan::compile(&schedule);
-        let base = plan_event_log(&plan);
+        let base = plan.programs();
 
         // Barrier-ordered: worker 0 executes, both enter, worker 1
         // exits and then executes. Clean by construction.
-        let mut logs = base.clone();
+        let mut logs = base.to_vec();
         logs[0].push(HbEvent::BarrierEnter { epoch: 0 });
         logs[1].insert(0, HbEvent::BarrierEnter { epoch: 0 });
         let exec1 = logs[1].remove(1);

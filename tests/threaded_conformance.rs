@@ -9,9 +9,7 @@ use std::sync::Arc;
 
 use orion::analysis::Strategy as ParStrategy;
 use orion::dsm::DistArray;
-use orion::runtime::{
-    build_schedule, run_grid_pass_pooled, run_one_d_pass_pooled, ThreadedPlan, WorkerPool,
-};
+use orion::runtime::{build_schedule, run_pass_pooled, ThreadedPlan, WorkerPool};
 use proptest::prelude::*;
 
 /// Splitmix-style hash for sparse item selection.
@@ -84,8 +82,7 @@ proptest! {
         let body = Arc::new(
             |(idx, v): &(Vec<i64>, f32),
              sp: &mut DistArray<f32>,
-             tp: &mut DistArray<f32>,
-             _: &mut ()| {
+             tp: &mut DistArray<f32>| {
                 let mut sv = *sp.get(&[idx[0], 0]).unwrap();
                 let mut tv = *tp.get(&[idx[1], 0]).unwrap();
                 grid_update(*v, &mut sv, &mut tv);
@@ -93,19 +90,20 @@ proptest! {
                 tp.update(&[idx[1], 0], |c| *c = tv);
             },
         );
-        let out = run_grid_pass_pooled(
+        let out = run_pass_pooled(
             &pool,
             &plan,
             &shared,
             s0.split_along(0, &sp.ranges),
             t0.split_along(0, &tp.ranges),
-            vec![(); sched.n_workers],
             &body,
         );
-        let s_thr = DistArray::merge_along(0, out.space);
-        let t_thr = DistArray::merge_along(0, out.time);
+        let s_thr = DistArray::merge_along(0, out.state);
+        let t_thr = DistArray::merge_along(0, out.parts);
         prop_assert_eq!(s_thr, s_ref);
         prop_assert_eq!(t_thr, t_ref);
+        // Every worker's recorded log is exactly its program.
+        prop_assert_eq!(&out.events[..], plan.programs());
     }
 
     /// Random 1-D schedules: per-worker scratch folds must equal the
@@ -137,10 +135,13 @@ proptest! {
         let plan = Arc::new(ThreadedPlan::compile(&sched));
         let pool = WorkerPool::new(sched.n_workers);
         let shared = Arc::new(items);
-        let body = Arc::new(|(_, v): &(Vec<i64>, f32), acc: &mut f32| {
+        let body = Arc::new(|(_, v): &(Vec<i64>, f32), acc: &mut f32, _: &mut ()| {
             *acc = *acc * 1.0625 + v;
         });
-        let out = run_one_d_pass_pooled(&pool, &plan, &shared, vec![1.0f32; sched.n_workers], &body);
-        prop_assert_eq!(out.scratch, folds);
+        let (acc, pinned) = (vec![1.0f32; sched.n_workers], vec![(); sched.n_workers]);
+        let out = run_pass_pooled(&pool, &plan, &shared, acc, pinned, &body);
+        prop_assert_eq!(out.state, folds);
+        // Every worker's recorded log is exactly its program.
+        prop_assert_eq!(&out.events[..], plan.programs());
     }
 }
