@@ -519,7 +519,12 @@ impl NodeApp for MfNode {
     /// run by the pool's interpreter over peer sockets, then re-homing.
     fn run_epoch(&mut self, ep: &mut NodeEndpoint, epoch: u64) -> EpochOutcome {
         let (plan, node) = (Arc::clone(&self.plan), self.node);
-        let mut net = Sockets { ep, node, epoch };
+        let mut net = Sockets {
+            ep,
+            node,
+            epoch,
+            send_ns: 0,
+        };
         let n_blocks = plan.programs()[node]
             .iter()
             .filter(|ev| matches!(ev, HbEvent::Exec { .. }))
@@ -571,7 +576,7 @@ impl NodeApp for MfNode {
         }
         EpochOutcome::Done {
             compute_ns: phase_ns(&trace.spans, ThreadPhase::Compute),
-            rotation_ns,
+            rotation_ns: rotation_ns + net.send_ns,
             events: trace.events,
         }
     }
@@ -614,18 +619,24 @@ struct Sockets<'a> {
     ep: &'a mut NodeEndpoint,
     node: usize,
     epoch: u64,
+    /// Time spent in `send` (encode and socket write) this epoch: the
+    /// interpreter times only its recv and exec steps, so the node adds
+    /// this to its rotation time.
+    send_ns: u64,
 }
 
 impl Transport<DistArray<f32>> for Sockets<'_> {
     type Abort = Msg;
 
     fn send(&mut self, dst: usize, tp: usize, part: DistArray<f32>) -> Result<(), Msg> {
+        let t0 = Instant::now();
         let msg = Msg::Partition {
             epoch: self.epoch,
             tp: tp as u32,
             payload: checkpoint::to_bytes(&part),
         };
         self.ep.send_peer(dst, &msg);
+        self.send_ns += t0.elapsed().as_nanos() as u64;
         Ok(())
     }
 

@@ -5,10 +5,12 @@
 //! Besides the criterion timings, the binary runs two head-to-head
 //! comparisons:
 //!
-//! - hot access paths against the seed implementations they replaced
-//!   (allocating per-access index translation; `BTreeMap` sparse
-//!   storage), written to `results/BENCH_dsm.json`: one record per path
-//!   with `seed_ns`, `new_ns` (per operation) and the `speedup`;
+//! - hot access paths and the dense-run codec against the seed
+//!   implementations they replaced (allocating per-access index
+//!   translation; `BTreeMap` sparse storage; one `Element::encode` /
+//!   `decode` call per value), written to `results/BENCH_dsm.json`: one
+//!   record per path with `seed_ns`, `new_ns` (per operation, an
+//!   operation being one element for the codec rows) and the `speedup`;
 //! - the serial vs explicit-width lane variants of the app inner-loop
 //!   kernels (both always compiled, so any build measures both),
 //!   written to `results/BENCH_simd.json`.
@@ -17,7 +19,9 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
 use orion_bench::{results_dir, write_report, KernelReport, KernelRow};
-use orion_dsm::{codec, kernels, DistArray, DistArrayBuffer, MathMode, RangePartition};
+use orion_dsm::{
+    checkpoint, codec, kernels, DistArray, DistArrayBuffer, MathMode, RangePartition, Storage,
+};
 
 fn bench_dense_access(c: &mut Criterion) {
     let mut a: DistArray<f32> = DistArray::dense("a", vec![1000, 16]);
@@ -109,9 +113,12 @@ fn bench_partition(c: &mut Criterion) {
     });
 }
 
-/// The access-path implementations this PR replaced, reproduced here so
-/// the comparison holds still as the library moves on.
+/// The access-path and codec implementations the library replaced,
+/// reproduced here so the comparison holds still as the library moves
+/// on.
 mod seed {
+    use bytes::{Buf, BufMut, Bytes, BytesMut};
+    use orion_dsm::{DistArray, Element, Storage};
     use std::collections::BTreeMap;
 
     /// Seed dense point read: translate the global index to a local one
@@ -151,6 +158,66 @@ mod seed {
             flat %= s;
         }
         idx
+    }
+
+    /// Seed dense-run encode: one `Element::encode` call per value
+    /// through `BufMut`.
+    pub fn encode_dense_run<T: Element>(base: u64, values: &[T]) -> Bytes {
+        let mut buf = BytesMut::with_capacity(16 + values.len() * T::WIRE_BYTES);
+        buf.put_u64_le(base);
+        buf.put_u64_le(values.len() as u64);
+        for v in values {
+            v.encode(&mut buf);
+        }
+        buf.freeze()
+    }
+
+    /// Seed dense-run decode: one `Element::decode` call per value
+    /// through `Buf`.
+    pub fn decode_dense_run<T: Element>(mut wire: Bytes) -> (u64, Vec<T>) {
+        let base = wire.get_u64_le();
+        let n = wire.get_u64_le() as usize;
+        let values = (0..n).map(|_| T::decode(&mut wire)).collect();
+        (base, values)
+    }
+
+    /// Seed checkpoint image of a dense array: the header in a growing
+    /// buffer, then the encoded run copied in after it.
+    pub fn to_bytes<T: Element>(array: &DistArray<T>) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(0x4F52_4E43);
+        buf.put_u32_le(T::WIRE_BYTES as u32);
+        let name = array.name().as_bytes();
+        buf.put_u32_le(name.len() as u32);
+        buf.put_slice(name);
+        let dims = array.shape().dims();
+        buf.put_u32_le(dims.len() as u32);
+        for &d in dims {
+            buf.put_u64_le(d);
+        }
+        for &o in array.origin() {
+            buf.put_i64_le(o);
+        }
+        let Storage::Dense(values) = array.storage() else {
+            panic!("dense fixture")
+        };
+        buf.put_u8(0);
+        buf.put_slice(&encode_dense_run(0, values));
+        buf.freeze()
+    }
+
+    /// Seed checkpoint decode of a dense image (the header checks are
+    /// the library's, so only the payload path differs).
+    pub fn from_bytes<T: Element>(mut wire: Bytes) -> DistArray<T> {
+        let (_magic, _elem) = (wire.get_u32_le(), wire.get_u32_le());
+        let name_len = wire.get_u32_le() as usize;
+        let name = String::from_utf8(wire.copy_to_bytes(name_len).to_vec()).expect("utf-8 name");
+        let ndims = wire.get_u32_le() as usize;
+        let dims: Vec<u64> = (0..ndims).map(|_| wire.get_u64_le()).collect();
+        let origin: Vec<i64> = (0..ndims).map(|_| wire.get_i64_le()).collect();
+        assert_eq!(wire.get_u8(), 0, "dense tag");
+        let (_base, values) = decode_dense_run(wire);
+        DistArray::dense_from_vec(name, dims, values).with_origin(origin)
     }
 }
 
@@ -300,11 +367,84 @@ fn compare_sparse_point_query() -> Comparison {
     }
 }
 
+/// A rotated MF time partition at benchmark size: 6000 rows of rank 32
+/// (0.77 MB of `f32`), with a non-zero origin like a real split.
+fn partition_fixture() -> DistArray<f32> {
+    DistArray::dense_from_fn("H", vec![6000, 32], |i| {
+        (i[0] * 32 + i[1]) as f32 * 0.37 - 9.0
+    })
+    .with_origin(vec![6000, 0])
+}
+
+fn partition_values(part: &DistArray<f32>) -> &[f32] {
+    let Storage::Dense(values) = part.storage() else {
+        panic!("dense fixture")
+    };
+    values
+}
+
+fn compare_dense_run_encode() -> Comparison {
+    let part = partition_fixture();
+    let values = partition_values(&part);
+    Comparison {
+        name: "dense_run_encode",
+        ops: values.len() as u64,
+        seed_ns: median_ns(15, || seed::encode_dense_run(0, black_box(values))),
+        new_ns: median_ns(15, || codec::encode_dense_run(0, black_box(values))),
+    }
+}
+
+fn compare_dense_run_decode() -> Comparison {
+    let part = partition_fixture();
+    let values = partition_values(&part);
+    let wire = codec::encode_dense_run(0, values);
+    assert_eq!(
+        seed::encode_dense_run(0, values),
+        wire,
+        "seed encodes the same bytes"
+    );
+    assert_eq!(seed::decode_dense_run::<f32>(wire.clone()).1, values);
+    Comparison {
+        name: "dense_run_decode",
+        ops: values.len() as u64,
+        seed_ns: median_ns(15, || {
+            seed::decode_dense_run::<f32>(black_box(wire.clone()))
+        }),
+        new_ns: median_ns(15, || {
+            codec::decode_dense_run::<f32>(black_box(wire.clone()))
+        }),
+    }
+}
+
+fn compare_checkpoint_roundtrip() -> Comparison {
+    let part = partition_fixture();
+    assert_eq!(
+        seed::to_bytes(&part),
+        checkpoint::to_bytes(&part),
+        "same image"
+    );
+    assert_eq!(seed::from_bytes::<f32>(checkpoint::to_bytes(&part)), part);
+    Comparison {
+        name: "checkpoint_roundtrip",
+        ops: partition_values(&part).len() as u64,
+        seed_ns: median_ns(15, || {
+            seed::from_bytes::<f32>(seed::to_bytes(black_box(&part)))
+        }),
+        new_ns: median_ns(15, || {
+            checkpoint::from_bytes::<f32>(checkpoint::to_bytes(black_box(&part)))
+                .expect("own image decodes")
+        }),
+    }
+}
+
 fn run_head_to_head() {
     let comparisons = [
         compare_dense_point_get(),
         compare_sparse_iteration(),
         compare_sparse_point_query(),
+        compare_dense_run_encode(),
+        compare_dense_run_decode(),
+        compare_checkpoint_roundtrip(),
     ];
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = format!(

@@ -11,7 +11,7 @@
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::array::{DistArray, Storage};
 use crate::codec;
@@ -47,14 +47,25 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// Serializes an array to its checkpoint byte representation.
+///
+/// The header and the payload are written into one buffer sized up
+/// front, so each element is copied once, by the codec's slice path for
+/// dense arrays.
 pub fn to_bytes<T: Element>(array: &DistArray<T>) -> Bytes {
-    let mut buf = BytesMut::new();
+    let name = array.name().as_bytes();
+    let dims = array.shape().dims();
+    // Magic, element width, name length and name; ndims, then dims and
+    // origin; the storage tag.
+    let header = 12 + name.len() + 4 + dims.len() * 16 + 1;
+    let payload = match array.storage() {
+        Storage::Dense(values) => codec::dense_run_wire_bytes::<T>(values.len() as u64),
+        Storage::Sparse(store) => codec::updates_wire_bytes::<T>(store.len() as u64),
+    };
+    let mut buf = Vec::with_capacity(header + payload as usize);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(T::WIRE_BYTES as u32);
-    let name = array.name().as_bytes();
     buf.put_u32_le(name.len() as u32);
     buf.put_slice(name);
-    let dims = array.shape().dims();
     buf.put_u32_le(dims.len() as u32);
     for &d in dims {
         buf.put_u64_le(d);
@@ -65,15 +76,15 @@ pub fn to_bytes<T: Element>(array: &DistArray<T>) -> Bytes {
     match array.storage() {
         Storage::Dense(values) => {
             buf.put_u8(0);
-            buf.put_slice(&codec::encode_dense_run(0, values));
+            codec::put_dense_run(&mut buf, 0, values);
         }
         Storage::Sparse(store) => {
             buf.put_u8(1);
-            let updates: Vec<(u64, T)> = store.iter().map(|(k, v)| (k, v.clone())).collect();
-            buf.put_slice(&codec::encode_updates(&updates));
+            codec::put_updates(&mut buf, store.iter());
         }
     }
-    buf.freeze()
+    debug_assert_eq!(buf.len(), header + payload as usize, "checkpoint size");
+    Bytes::from(buf)
 }
 
 /// Deserializes a checkpoint produced by [`to_bytes`].
@@ -115,11 +126,12 @@ pub fn from_bytes<T: Element>(mut wire: Bytes) -> Result<DistArray<T>, Checkpoin
     let origin: Vec<i64> = (0..ndims).map(|_| wire.get_i64_le()).collect();
     let volume: u64 = dims.iter().product();
     let tag = wire.get_u8();
-    // The payload is decoded inline rather than through `codec`: the
-    // codec decoders are wire-path helpers that panic on malformed
-    // buffers, while a checkpoint file can be truncated by a crash and
-    // must come back as `Corrupt`. Lengths are validated exactly, before
-    // any allocation.
+    // The payload is validated here rather than by `codec`'s decoders:
+    // those are wire-path helpers that panic on malformed buffers, while
+    // a checkpoint file can be truncated by a crash and must come back
+    // as `Corrupt`. Lengths are validated exactly, before any
+    // allocation; a dense payload is then decoded by the same slice path
+    // as `codec::decode_dense_run`.
     match tag {
         0 => {
             need(16, &wire)?;
@@ -142,7 +154,7 @@ pub fn from_bytes<T: Element>(mut wire: Bytes) -> Result<DistArray<T>, Checkpoin
                     wire.remaining()
                 )));
             }
-            let values: Vec<T> = (0..n).map(|_| T::decode(&mut wire)).collect();
+            let values = T::decode_slice(&wire);
             Ok(DistArray::dense_from_vec(name, dims, values).with_origin(origin))
         }
         1 => {
@@ -329,5 +341,139 @@ mod tests {
     fn missing_file_is_io_error() {
         let err = load::<f32>(tmp("does_not_exist")).unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)));
+    }
+
+    /// The format pinned byte for byte: each dense run and checkpoint
+    /// image must equal hand-built little-endian bytes, so an encoder and
+    /// decoder that changed the format together still fail here.
+    /// `le` is the value's `to_le_bytes`, i.e. its bit pattern.
+    fn golden<T: Element + Copy>(values: [T; 8], le: fn(T) -> Vec<u8>) {
+        let payload: Vec<u8> = values.iter().flat_map(|&v| le(v)).collect();
+        let mut run = Vec::new();
+        run.extend_from_slice(&5u64.to_le_bytes()); // base
+        run.extend_from_slice(&8u64.to_le_bytes()); // count
+        run.extend_from_slice(&payload);
+        let wire = codec::encode_dense_run(5, &values);
+        assert_eq!(&wire[..], &run[..], "dense run bytes");
+        let (base, back) = codec::decode_dense_run::<T>(wire);
+        assert_eq!(base, 5);
+        let back_bits: Vec<Vec<u8>> = back.iter().map(|&v| le(v)).collect();
+        let bits: Vec<Vec<u8>> = values.iter().map(|&v| le(v)).collect();
+        assert_eq!(back_bits, bits, "dense run decode bits");
+
+        let mut image = vec![0x43, 0x4E, 0x52, 0x4F]; // "ORNC" as a little-endian u32
+        image.extend_from_slice(&(T::WIRE_BYTES as u32).to_le_bytes());
+        image.extend_from_slice(&2u32.to_le_bytes()); // name length
+        image.extend_from_slice(b"Gx");
+        image.extend_from_slice(&2u32.to_le_bytes()); // ndims
+        image.extend_from_slice(&2u64.to_le_bytes()); // dims
+        image.extend_from_slice(&4u64.to_le_bytes());
+        image.extend_from_slice(&3i64.to_le_bytes()); // origin
+        image.extend_from_slice(&(-1i64).to_le_bytes());
+        image.push(0); // dense tag
+        image.extend_from_slice(&0u64.to_le_bytes()); // base
+        image.extend_from_slice(&8u64.to_le_bytes()); // count
+        image.extend_from_slice(&payload);
+        let array =
+            DistArray::dense_from_vec("Gx", vec![2, 4], values.to_vec()).with_origin(vec![3, -1]);
+        let wire = to_bytes(&array);
+        assert_eq!(&wire[..], &image[..], "checkpoint bytes");
+        let back = from_bytes::<T>(wire).unwrap();
+        assert_eq!(back.origin(), &[3, -1]);
+        let Storage::Dense(back) = back.storage() else {
+            panic!("dense checkpoint decodes dense")
+        };
+        let back_bits: Vec<Vec<u8>> = back.iter().map(|&v| le(v)).collect();
+        assert_eq!(back_bits, bits, "checkpoint decode bits");
+    }
+
+    #[test]
+    fn golden_f32() {
+        golden(
+            [
+                f32::from_bits(0x7FC0_1234), // quiet NaN with a payload
+                f32::from_bits(0xFF80_0001), // negative signalling NaN
+                -0.0,
+                f32::from_bits(1), // smallest subnormal
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::MAX,
+                1.5,
+            ],
+            |v| v.to_le_bytes().to_vec(),
+        );
+        // One value spelled out: 1.5f32 is 0x3FC0_0000.
+        assert_eq!(
+            &codec::encode_dense_run(0, &[1.5f32])[16..],
+            &[0x00, 0x00, 0xC0, 0x3F]
+        );
+    }
+
+    #[test]
+    fn golden_f64() {
+        golden(
+            [
+                f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+                f64::from_bits(0xFFF0_0000_0000_0001),
+                -0.0,
+                f64::from_bits(1),
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MIN_POSITIVE,
+                -2.25,
+            ],
+            |v| v.to_le_bytes().to_vec(),
+        );
+    }
+
+    #[test]
+    fn golden_u32() {
+        let values = [
+            0,
+            1,
+            u32::MAX,
+            0x8000_0000,
+            0x0102_0304,
+            7,
+            u32::MAX - 1,
+            42,
+        ];
+        golden(values, |v| v.to_le_bytes().to_vec());
+    }
+
+    #[test]
+    fn golden_u64() {
+        let values = [
+            0,
+            1,
+            u64::MAX,
+            1 << 63,
+            0x0102_0304_0506_0708,
+            7,
+            u64::MAX - 1,
+            42,
+        ];
+        golden(values, |v| v.to_le_bytes().to_vec());
+    }
+
+    #[test]
+    fn golden_i32() {
+        let values = [i32::MIN, i32::MAX, 0, -1, 1, -0x0102_0304, i32::MIN + 1, 42];
+        golden(values, |v| v.to_le_bytes().to_vec());
+    }
+
+    #[test]
+    fn golden_i64() {
+        let values = [
+            i64::MIN,
+            i64::MAX,
+            0,
+            -1,
+            1,
+            -0x0102_0304_0506_0708,
+            i64::MIN + 1,
+            42,
+        ];
+        golden(values, |v| v.to_le_bytes().to_vec());
     }
 }

@@ -20,6 +20,24 @@ pub trait Element: Clone + Send + Sync + Default + PartialEq + core::fmt::Debug 
     /// Panics if `buf` holds fewer than [`Element::WIRE_BYTES`] bytes —
     /// framing is the caller's responsibility.
     fn decode(buf: &mut impl Buf) -> Self;
+
+    /// Writes the wire encodings of `values` back to back into `out`:
+    /// the same bytes as [`Element::encode`] on each value in order, in
+    /// one pass over the slice (the dense-run path).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out.len() == values.len() * WIRE_BYTES`.
+    fn encode_slice(values: &[Self], out: &mut [u8]);
+
+    /// Decodes a whole run of back-to-back wire encodings — the inverse
+    /// of [`Element::encode_slice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bytes.len()` is a multiple of
+    /// [`Element::WIRE_BYTES`].
+    fn decode_slice(bytes: &[u8]) -> Vec<Self>;
 }
 
 macro_rules! impl_element {
@@ -33,6 +51,28 @@ macro_rules! impl_element {
 
             fn decode(buf: &mut impl Buf) -> Self {
                 buf.$get()
+            }
+
+            fn encode_slice(values: &[Self], out: &mut [u8]) {
+                assert_eq!(
+                    out.len(),
+                    values.len() * Self::WIRE_BYTES,
+                    "encode_slice size"
+                );
+                for (dst, v) in out.chunks_exact_mut(Self::WIRE_BYTES).zip(values) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+
+            fn decode_slice(bytes: &[u8]) -> Vec<Self> {
+                let chunks = bytes.chunks_exact(Self::WIRE_BYTES);
+                assert!(
+                    chunks.remainder().is_empty(),
+                    "partial element in dense run"
+                );
+                chunks
+                    .map(|c| <$t>::from_le_bytes(c.try_into().expect("exact chunk")))
+                    .collect()
             }
         }
     };
@@ -149,6 +189,34 @@ mod tests {
         assert_eq!(buf.len(), T::WIRE_BYTES);
         let mut b = buf.freeze();
         assert_eq!(T::decode(&mut b), v);
+    }
+
+    /// The slice path writes exactly the per-value encodings, in order.
+    fn slice_matches_per_value<T: Element>(values: &[T]) {
+        let mut per_value = BytesMut::new();
+        for v in values {
+            v.encode(&mut per_value);
+        }
+        let mut sliced = vec![0u8; values.len() * T::WIRE_BYTES];
+        T::encode_slice(values, &mut sliced);
+        assert_eq!(&sliced[..], &per_value[..]);
+        assert_eq!(T::decode_slice(&sliced), values);
+    }
+
+    #[test]
+    fn slice_path_matches_per_value_path() {
+        slice_matches_per_value(&[1.5f32, -0.0, f32::MIN_POSITIVE]);
+        slice_matches_per_value(&[-2.25f64, f64::MAX]);
+        slice_matches_per_value(&[42u32, u32::MAX]);
+        slice_matches_per_value(&[u64::MAX, 0, 9]);
+        slice_matches_per_value(&[-7i32, i32::MIN]);
+        slice_matches_per_value::<i64>(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "partial element")]
+    fn decode_slice_rejects_a_partial_element() {
+        let _ = u32::decode_slice(&[0u8; 6]);
     }
 
     #[test]

@@ -37,7 +37,12 @@
 //!   [`codec::decode_updates`] reproduce every element *bit for bit*
 //!   (`f32`/`f64` travel as raw IEEE-754 bits, never re-parsed text), so
 //!   a partition that crosses the wire is indistinguishable from one
-//!   that stayed local.
+//!   that stayed local. Dense runs are encoded and decoded a whole
+//!   slice at a time ([`Element::encode_slice`] /
+//!   [`Element::decode_slice`]), writing the same little-endian bytes as
+//!   the per-value [`Element::encode`]; golden tests in `checkpoint.rs`
+//!   pin those bytes for every element type, so the format cannot
+//!   change with the encoder and decoder changing together.
 //! - **Origin-preserving partitions** — a partition made by
 //!   [`DistArray::split_along`] keeps its global origin and answers the
 //!   same global indices after serialization, so remote executors index

@@ -90,7 +90,8 @@ pub enum Msg {
         node: u32,
         /// Real time spent in compute this epoch.
         compute_ns: u64,
-        /// Real time spent blocked on partition rotation this epoch.
+        /// Real time spent on partition rotation this epoch: sending
+        /// partitions, and awaiting and decoding received ones.
         rotation_ns: u64,
         /// Per-destination wire accounting for the epoch.
         sent: Vec<LinkStat>,
@@ -234,9 +235,25 @@ fn get_count(b: &mut Bytes, elem_min: usize, what: &str) -> Result<usize, FrameE
 }
 
 impl Msg {
+    /// Payload size of a blob-carrying message, so [`Msg::encode`]
+    /// allocates its buffer once and copies each blob into it once; 0
+    /// for the small control messages.
+    fn blob_payload_len(&self) -> usize {
+        match self {
+            Msg::Partition { payload, .. } | Msg::ServerUpdate { payload, .. } => {
+                12 + 8 + payload.len()
+            }
+            Msg::PrefetchResponse { payload, .. } => 8 + 8 + payload.len(),
+            Msg::FinalState { parts, .. } => {
+                4 + 8 + parts.iter().map(|(_, p)| 4 + 8 + p.len()).sum::<usize>()
+            }
+            _ => 0,
+        }
+    }
+
     /// Encodes to a frame kind and payload.
     pub fn encode(&self) -> (u32, Bytes) {
-        let mut b = BytesMut::new();
+        let mut b = BytesMut::with_capacity(self.blob_payload_len());
         let kind = match self {
             Msg::Hello {
                 node,
@@ -576,6 +593,33 @@ mod tests {
             parts: vec![(u32::MAX, Bytes::from(vec![9])), (0, Bytes::new())],
         });
         round_trip(Msg::Shutdown);
+    }
+
+    #[test]
+    fn blob_payload_len_is_exact() {
+        let blobs = [
+            Msg::Partition {
+                epoch: 1,
+                tp: 2,
+                payload: Bytes::from(vec![7; 100]),
+            },
+            Msg::ServerUpdate {
+                epoch: 4,
+                node: 2,
+                payload: Bytes::from(vec![0u8; 64]),
+            },
+            Msg::PrefetchResponse {
+                epoch: 5,
+                payload: Bytes::from(vec![255; 3]),
+            },
+            Msg::FinalState {
+                node: 2,
+                parts: vec![(u32::MAX, Bytes::from(vec![9; 40])), (0, Bytes::new())],
+            },
+        ];
+        for msg in blobs {
+            assert_eq!(msg.blob_payload_len(), msg.encode().1.len(), "{msg:?}");
+        }
     }
 
     #[test]

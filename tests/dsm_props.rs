@@ -144,6 +144,19 @@ proptest! {
     }
 
     #[test]
+    fn codec_dense_run_roundtrips_every_f32_bit_pattern(
+        base in any::<u64>(),
+        values in proptest::collection::vec(any::<u32>().prop_map(f32::from_bits), 0..64),
+    ) {
+        let wire = codec::encode_dense_run(base, &values);
+        prop_assert_eq!(wire.len() as u64, codec::dense_run_wire_bytes::<f32>(values.len() as u64));
+        let (back_base, decoded) = codec::decode_dense_run::<f32>(wire);
+        prop_assert_eq!(back_base, base);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&decoded), bits(&values));
+    }
+
+    #[test]
     fn checkpoint_roundtrip_sparse(a in arb_sparse_array()) {
         let b = checkpoint::from_bytes::<f32>(checkpoint::to_bytes(&a)).unwrap();
         prop_assert_eq!(a, b);
