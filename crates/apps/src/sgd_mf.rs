@@ -46,7 +46,9 @@ pub struct MfConfig {
     /// `Exact` (the default) keeps bit-identity with the serial seed;
     /// `FastMath` opts into vectorized multi-accumulator reductions
     /// (deterministic, differently associated — validated by the
-    /// convergence-equivalence tests).
+    /// convergence-equivalence tests). Takes effect in every build, at
+    /// ranks of at least `kernels::LANES`; shorter rows have no full
+    /// lane chunk and sum serially.
     pub math: MathMode,
 }
 

@@ -33,7 +33,8 @@ pub struct SlrConfig {
     pub adaptive: bool,
     /// Floating-point reduction policy for the margin gather-sums.
     /// `Exact` (the default) keeps bit-identity with the serial seed;
-    /// `FastMath` opts into vectorized multi-accumulator reductions.
+    /// `FastMath` opts into vectorized multi-accumulator reductions
+    /// (deterministic, differently associated), in every build.
     pub math: MathMode,
 }
 

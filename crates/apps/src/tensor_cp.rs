@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use orion_core::{
-    kernels, ClusterSpec, DistArray, DistArrayBuffer, Driver, LoopSpec, MathMode, RunStats,
-    Strategy, Subscript,
+    kernels, ClusterSpec, DistArray, DistArrayBuffer, Driver, LoopSpec, RunStats, Strategy,
+    Subscript,
 };
 use orion_data::TensorData;
 
@@ -86,7 +86,6 @@ impl CpModel {
             self.u.row_slice(i),
             self.v.row_slice(j),
             self.s.row_slice(k),
-            MathMode::Exact,
         )
     }
 
@@ -150,7 +149,7 @@ fn cp_update_rows(
     step: f32,
     buf: &mut DistArrayBuffer<f32>,
 ) {
-    let pred = kernels::cp_predict(u, v, s, MathMode::Exact);
+    let pred = kernels::cp_predict(u, v, s);
     let g = step * 2.0 * (x - pred);
     kernels::cp_update_rows(u, v, s, g, |c, delta| buf.write(&[k, c as i64], delta));
 }

@@ -11,9 +11,9 @@
 //!   `decode` call per value), written to `results/BENCH_dsm.json`: one
 //!   record per path with `seed_ns`, `new_ns` (per operation, an
 //!   operation being one element for the codec rows) and the `speedup`;
-//! - the serial vs explicit-width lane variants of the app inner-loop
-//!   kernels (both always compiled, so any build measures both),
-//!   written to `results/BENCH_simd.json`.
+//! - the reassociating reduction kernels run through their dispatchers
+//!   under `MathMode::Exact` and `MathMode::FastMath`, written to
+//!   `results/BENCH_simd.json`.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -475,7 +475,7 @@ fn run_head_to_head() {
     println!("wrote {}", path.display());
 }
 
-/// Rank/length of the dense kernel fixtures — the regime of the MF/CP
+/// Rank/length of the dense kernel fixtures — the regime of the MF
 /// benchmarks at their largest configured rank.
 const KLEN: usize = 512;
 /// Timed closure repetitions per median sample.
@@ -487,236 +487,70 @@ fn kernel_fixture(n: usize, salt: u32) -> Vec<f32> {
         .collect()
 }
 
-/// Times one kernel both ways and returns the per-op comparison row.
-fn kernel_row(
-    name: &'static str,
-    ops: u64,
-    mut scalar: impl FnMut(),
-    mut lanes: impl FnMut(),
-) -> KernelRow {
-    let scalar_ns = median_ns(9, &mut scalar) / ops as f64;
-    let simd_ns = median_ns(9, &mut lanes) / ops as f64;
+/// Times one kernel under each [`MathMode`] and returns the per-op
+/// comparison row.
+fn kernel_row(name: &'static str, ops: u64, mut run: impl FnMut(MathMode)) -> KernelRow {
+    let exact_ns = median_ns(9, || run(MathMode::Exact)) / ops as f64;
+    let fastmath_ns = median_ns(9, || run(MathMode::FastMath)) / ops as f64;
     KernelRow {
         name,
         ops,
-        scalar_ns,
-        simd_ns,
+        exact_ns,
+        fastmath_ns,
     }
 }
 
-/// Serial vs lane variants of the app inner-loop kernels. Per-op numbers
-/// divide by the *elements* each closure touches, so rows are comparable
-/// across kernels.
-fn run_simd_head_to_head() {
+/// Exact vs FastMath for the reductions `MathMode` switches. Per-op
+/// numbers divide by the *elements* each closure touches, so rows are
+/// comparable across kernels.
+fn run_kernel_head_to_head() {
     let ops = (KREPS * KLEN) as u64;
     let a = kernel_fixture(KLEN, 1);
     let b = kernel_fixture(KLEN, 2);
 
-    // Dense dot: the serial variant is a loop-carried FP add chain, the
-    // lane variant runs LANES independent accumulators.
-    let dense_dot = kernel_row(
-        "dense_dot",
-        ops,
-        || {
-            let mut acc = 0.0f32;
-            for _ in 0..KREPS {
-                acc += kernels::dot_serial(black_box(&a), black_box(&b));
-            }
-            black_box(acc);
-        },
-        || {
-            let mut acc = 0.0f32;
-            for _ in 0..KREPS {
-                acc += kernels::dot_lanes(black_box(&a), black_box(&b));
-            }
-            black_box(acc);
-        },
-    );
+    // Dense dot: Exact is a loop-carried FP add chain, FastMath runs
+    // LANES independent accumulators.
+    let dense_dot = kernel_row("dense_dot", ops, |mode| {
+        let mut acc = 0.0f32;
+        for _ in 0..KREPS {
+            acc += kernels::dot(black_box(&a), black_box(&b), mode);
+        }
+        black_box(acc);
+    });
 
-    // The full sgd_mf row-update cell (predict + paired update) — the
-    // operation the app runs once per rating. The lane path is what a
-    // `fast-math` build runs under `MathMode::FastMath`: the paired
-    // update is bit-identical either way, the prediction dot
-    // reassociates into independent lane accumulators.
-    let row_update = kernel_row(
-        "row_update",
-        ops,
-        || {
-            let (mut w, mut h) = (a.clone(), b.clone());
-            for _ in 0..KREPS {
-                let pred = kernels::dot_serial(black_box(&w), black_box(&h));
-                let coef = 1e-4f32 * 2.0 * (0.5 - pred);
-                kernels::mf_update_rows_serial(&mut w, &mut h, coef);
-            }
-        },
-        || {
-            let (mut w, mut h) = (a.clone(), b.clone());
-            for _ in 0..KREPS {
-                let pred = kernels::dot_lanes(black_box(&w), black_box(&h));
-                let coef = 1e-4f32 * 2.0 * (0.5 - pred);
-                kernels::mf_update_rows_lanes(&mut w, &mut h, coef);
-            }
-        },
-    );
+    // The full sgd_mf cell (predict + paired update), the operation the
+    // app runs once per rating: only the prediction dot reassociates.
+    let row_update = kernel_row("row_update", ops, |mode| {
+        let (mut w, mut h) = (a.clone(), b.clone());
+        for _ in 0..KREPS {
+            black_box(kernels::mf_row_update(
+                black_box(&mut w),
+                black_box(&mut h),
+                0.5f32,
+                1e-4,
+                mode,
+            ));
+        }
+    });
 
-    // LDA count-histogram weights (topic CDF): the serial variant fuses
-    // the divide-heavy weight computation with the prefix sum; the lane
-    // variant vectorizes the weights and keeps only the prefix serial.
-    let k = 1024usize;
-    let dt: Vec<u32> = (0..k as u32).map(|x| x.wrapping_mul(7) % 50).collect();
-    let wt: Vec<u32> = (0..k as u32).map(|x| x.wrapping_mul(13) % 90).collect();
-    let ts: Vec<i64> = (0..k as i64).map(|x| (x * 31) % 4000).collect();
-    let reps = KREPS / 4;
-    let hist_ops = (reps * k) as u64;
-    let mut weights = vec![0.0f64; k];
-    let mut weights2 = vec![0.0f64; k];
-    let histogram = kernel_row(
-        "histogram_accumulate",
-        hist_ops,
-        || {
-            let mut acc = 0.0f64;
-            for _ in 0..reps {
-                acc += kernels::topic_cdf_serial(
-                    black_box(&dt),
-                    black_box(&wt),
-                    black_box(&ts),
-                    0.1,
-                    0.01,
-                    10.0,
-                    &mut weights,
-                );
-            }
-            black_box(acc);
-        },
-        || {
-            let mut acc = 0.0f64;
-            for _ in 0..reps {
-                acc += kernels::topic_cdf_lanes(
-                    black_box(&dt),
-                    black_box(&wt),
-                    black_box(&ts),
-                    0.1,
-                    0.01,
-                    10.0,
-                    &mut weights2,
-                );
-            }
-            black_box(acc);
-        },
-    );
-
-    // SLR gradient accumulate: a gather feeding a reduction chain.
+    // SLR margin: a gather feeding a reduction chain.
     let table = kernel_fixture(4096, 3);
     let idx: Vec<u32> = (0..KLEN as u32)
         .map(|x| x.wrapping_mul(997) % 4096)
         .collect();
-    let gather_sum = kernel_row(
-        "gather_sum",
-        ops,
-        || {
-            let mut acc = 0.0f32;
-            for _ in 0..KREPS {
-                acc += kernels::gather_sum_serial(black_box(&idx), |f| table[f as usize]);
-            }
-            black_box(acc);
-        },
-        || {
-            let mut acc = 0.0f32;
-            for _ in 0..KREPS {
-                acc += kernels::gather_sum_lanes(black_box(&idx), |f| table[f as usize]);
-            }
-            black_box(acc);
-        },
-    );
-
-    // Tensor CP row update: paired elementwise update plus the emitted
-    // third-mode deltas (sunk into a flat accumulator here).
-    let s = kernel_fixture(KLEN, 4);
-    let mut sink = vec![0.0f32; KLEN];
-    let mut sink2 = vec![0.0f32; KLEN];
-    let cp_update = kernel_row(
-        "cp_update_rows",
-        ops,
-        || {
-            let (mut u, mut v) = (a.clone(), b.clone());
-            for _ in 0..KREPS {
-                kernels::cp_update_rows_serial(
-                    black_box(&mut u),
-                    black_box(&mut v),
-                    black_box(&s),
-                    1e-4f32,
-                    |c, d| sink[c] += d,
-                );
-            }
-        },
-        || {
-            let (mut u, mut v) = (a.clone(), b.clone());
-            for _ in 0..KREPS {
-                kernels::cp_update_rows_lanes(
-                    black_box(&mut u),
-                    black_box(&mut v),
-                    black_box(&s),
-                    1e-4f32,
-                    |c, d| sink2[c] += d,
-                );
-            }
-        },
-    );
-
-    // GBT per-feature gradient histogram over a sample block.
-    let (n_samples, n_features, n_bins) = (8192usize, 8usize, 16usize);
-    let features = kernel_fixture(n_samples * n_features, 5);
-    let assign: Vec<usize> = (0..n_samples).map(|i| i % 3).collect();
-    let slot_of_node = vec![0usize, usize::MAX, 1usize];
-    let grads: Vec<f64> = (0..n_samples).map(|i| i as f64 * 1e-3 - 2.0).collect();
-    let mut h1 = vec![kernels::BinStat::<f64>::default(); 2 * n_bins];
-    let mut h2 = h1.clone();
-    let gbt_hist = kernel_row(
-        "feature_histogram",
-        (n_samples * 16) as u64,
-        || {
-            for _ in 0..16 {
-                kernels::feature_histogram_serial(
-                    3,
-                    n_samples,
-                    n_features,
-                    n_bins,
-                    black_box(&features),
-                    &slot_of_node,
-                    &assign,
-                    &grads,
-                    usize::MAX,
-                    &mut h1,
-                );
-            }
-        },
-        || {
-            for _ in 0..16 {
-                kernels::feature_histogram_lanes(
-                    3,
-                    n_samples,
-                    n_features,
-                    n_bins,
-                    black_box(&features),
-                    &slot_of_node,
-                    &assign,
-                    &grads,
-                    usize::MAX,
-                    &mut h2,
-                );
-            }
-        },
-    );
+    let gather_sum = kernel_row("gather_sum", ops, |mode| {
+        let mut acc = 0.0f32;
+        for _ in 0..KREPS {
+            acc += kernels::gather_sum(black_box(&idx), |f| table[f as usize], mode);
+        }
+        black_box(acc);
+    });
 
     let report = KernelReport {
-        simd_enabled: kernels::simd_enabled(),
-        fast_math_available: kernels::fast_math_available(),
-        rows: vec![
-            dense_dot, row_update, histogram, gather_sum, cp_update, gbt_hist,
-        ],
+        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rows: vec![dense_dot, row_update, gather_sum],
     };
     write_report("BENCH_simd.json", &report);
-    // Exact mode must route to the serial order regardless of features.
     assert_eq!(
         kernels::dot(&a, &b, MathMode::Exact).to_bits(),
         kernels::dot_serial(&a, &b).to_bits(),
@@ -733,5 +567,5 @@ criterion_group! {
 fn main() {
     benches();
     run_head_to_head();
-    run_simd_head_to_head();
+    run_kernel_head_to_head();
 }

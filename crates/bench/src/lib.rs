@@ -49,7 +49,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 
 /// A persistable benchmark report: a JSON payload plus a human-readable
 /// rendering. [`RunReport`] implements it for trace reports; benches
-/// with bespoke schemas (the scalar-vs-SIMD kernel table, say) implement
+/// with bespoke schemas (the Exact-vs-FastMath kernel table, say) implement
 /// it on their own types and share [`write_report`].
 pub trait Report {
     /// The JSON payload persisted under `results/`.
@@ -68,36 +68,33 @@ impl Report for RunReport {
     }
 }
 
-/// One scalar-vs-SIMD kernel measurement: per-operation nanoseconds of
-/// the serial reference and the explicit-width lane variant.
+/// One Exact-vs-FastMath kernel measurement: per-operation nanoseconds
+/// of a reduction kernel run through its dispatcher under each
+/// [`MathMode`](orion_dsm::MathMode).
 #[derive(Debug, Clone)]
 pub struct KernelRow {
     /// Kernel name (`dense_dot`, `row_update`, …).
     pub name: &'static str,
     /// Operations per timed closure call (the per-op divisor).
     pub ops: u64,
-    /// Median per-op nanoseconds of the serial variant.
-    pub scalar_ns: f64,
-    /// Median per-op nanoseconds of the lane variant.
-    pub simd_ns: f64,
+    /// Median per-op nanoseconds under `MathMode::Exact`.
+    pub exact_ns: f64,
+    /// Median per-op nanoseconds under `MathMode::FastMath`.
+    pub fastmath_ns: f64,
 }
 
 impl KernelRow {
-    /// Scalar time over SIMD time.
+    /// Exact time over FastMath time.
     pub fn speedup(&self) -> f64 {
-        self.scalar_ns / self.simd_ns
+        self.exact_ns / self.fastmath_ns
     }
 }
 
-/// The scalar-vs-SIMD kernel comparison table (`BENCH_simd.json`). Both
-/// variants are always compiled, so any build measures both; the flags
-/// record which one the *dispatchers* select in this build.
+/// The Exact-vs-FastMath kernel comparison table (`BENCH_simd.json`).
 #[derive(Debug, Clone)]
 pub struct KernelReport {
-    /// Whether this build dispatches order-preserving kernels to lanes.
-    pub simd_enabled: bool,
-    /// Whether this build can honor `MathMode::FastMath`.
-    pub fast_math_available: bool,
+    /// Hardware threads of the measuring host.
+    pub host_parallelism: usize,
     /// The measured kernels.
     pub rows: Vec<KernelRow>,
 }
@@ -105,18 +102,17 @@ pub struct KernelReport {
 impl Report for KernelReport {
     fn to_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"bench\": \"kernel_simd\",\n  \"simd_enabled\": {},\n  \
-             \"fast_math_available\": {},\n  \"kernels\": [\n",
-            self.simd_enabled, self.fast_math_available
+            "{{\n  \"bench\": \"kernel_math_mode\",\n  \"host_parallelism\": {},\n  \"kernels\": [\n",
+            self.host_parallelism
         );
         for (i, r) in self.rows.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ops\": {}, \"scalar_ns\": {:.3}, \
-                 \"simd_ns\": {:.3}, \"speedup\": {:.3}}}{}\n",
+                "    {{\"name\": \"{}\", \"ops\": {}, \"exact_ns\": {:.3}, \
+                 \"fastmath_ns\": {:.3}, \"speedup\": {:.3}}}{}\n",
                 r.name,
                 r.ops,
-                r.scalar_ns,
-                r.simd_ns,
+                r.exact_ns,
+                r.fastmath_ns,
                 r.speedup(),
                 if i + 1 < self.rows.len() { "," } else { "" }
             ));
@@ -127,15 +123,15 @@ impl Report for KernelReport {
 
     fn render(&self) -> String {
         let mut out = format!(
-            "scalar vs SIMD kernels (simd_enabled={}, fast_math_available={})\n{:<24} {:>12} {:>12} {:>9}\n",
-            self.simd_enabled, self.fast_math_available, "kernel", "scalar ns/op", "simd ns/op", "speedup"
+            "Exact vs FastMath kernels (host parallelism {})\n{:<24} {:>12} {:>12} {:>9}\n",
+            self.host_parallelism, "kernel", "exact ns/op", "fast ns/op", "speedup"
         );
         for r in &self.rows {
             out.push_str(&format!(
                 "{:<24} {:>12.2} {:>12.2} {:>8.2}x\n",
                 r.name,
-                r.scalar_ns,
-                r.simd_ns,
+                r.exact_ns,
+                r.fastmath_ns,
                 r.speedup()
             ));
         }

@@ -138,8 +138,8 @@ pub struct Driver {
     /// and reused across passes and epochs.
     pool: Option<WorkerPool>,
     /// Floating-point reduction policy loop bodies should honor
-    /// (`Exact` keeps seed bit-identity; `FastMath` permits vectorized
-    /// reassociation when the `fast-math` feature is compiled in).
+    /// (`Exact` keeps seed bit-identity; `FastMath` reassociates the
+    /// `dot` / `gather_sum` reductions into lane partial sums).
     math_mode: MathMode,
     /// Real per-link wire bytes accumulated by distributed passes
     /// ([`Driver::run_pass_distributed`]); merged with the simulated
@@ -178,9 +178,8 @@ impl Driver {
     /// every reduction bit-identical to the serial seed;
     /// [`MathMode::FastMath`] opts reassociating reductions (dot
     /// products, gathered sums) into multi-accumulator vectorized
-    /// forms — still deterministic, but associated differently. The
-    /// mode only takes effect when the `fast-math` cargo feature is
-    /// compiled in; otherwise kernels silently stay exact.
+    /// forms — still deterministic, but associated differently. Every
+    /// build honours both modes: there is no compile-time kernel switch.
     pub fn set_math_mode(&mut self, mode: MathMode) {
         self.math_mode = mode;
     }

@@ -110,9 +110,8 @@ pub trait Device: Clone + Default + Send + Sync + PartialEq + core::fmt::Debug +
     }
 }
 
-/// The host CPU: buffers are plain `Vec`s, and kernel dispatch runs the
-/// portable-SIMD (chunked-lane) or scalar paths from
-/// [`kernels`](crate::kernels) directly on them.
+/// The host CPU: buffers are plain `Vec`s, and the
+/// [`kernels`](crate::kernels) run directly on them.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct CpuDevice;
 

@@ -22,10 +22,10 @@
 //!   actual accesses are covered by its declared [`orion_ir::LoopSpec`].
 //! - [`Device`] / [`CpuDevice`] — the storage layer DistArray buffers
 //!   live behind, making `DistArray<T, D>` dtype- and device-generic.
-//! - [`kernels`] — explicit-width SIMD implementations of the five
-//!   applications' inner loops, with scalar fallbacks (`simd` feature)
-//!   and an opt-in [`MathMode::FastMath`] for reassociating reductions
-//!   (`fast-math` feature).
+//! - [`kernels`] — the five applications' inner loops, one serial body
+//!   each, bit-identical to the seed loops; [`MathMode`] is the one
+//!   switch, opting the `dot` / `gather_sum` reductions into an
+//!   explicit 8-lane reassociated fold ([`MathMode::FastMath`]) per run.
 //!
 //! # Invariants the wire layer relies on
 //!

@@ -1,8 +1,8 @@
 //! Property tests of the DSM substrate: index arithmetic, split/merge,
 //! partition tiling and balance, buffer-vs-serial equivalence, codec and
-//! checkpoint round trips, and the scalar-vs-lane kernel contracts.
+//! checkpoint round trips, and the kernel and MathMode contracts.
 
-use orion::dsm::kernels::{self, BinStat, MathMode, LANES};
+use orion::dsm::kernels::{self, MathMode, LANES};
 use orion::dsm::{checkpoint, codec, DistArray, DistArrayBuffer, RangePartition, Shape};
 use proptest::prelude::*;
 
@@ -240,15 +240,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel contracts: every order-preserving lane kernel is bit-identical
-// to its serial reference for every length class `len % LANES ∈ 0..LANES`
-// (including the pure-scalar `len < LANES` degenerate), and the
-// reduction dispatchers honor the MathMode contract.
+// Kernel contracts: the kernels the apps call are bit-identical to the
+// serial loops they replaced, and the reduction dispatchers honor the
+// MathMode contract for every length class `len % LANES ∈ 0..LANES`
+// (including the pure-scalar `len < LANES` degenerate).
 // ---------------------------------------------------------------------------
 
 /// Lengths covering every remainder class mod [`LANES`] at 0–3 full
-/// chunks, so each proptest exercises the chunked body, the scalar
-/// remainder peel, and both empty edges.
+/// chunks, so each proptest exercises the lane reductions' chunked body,
+/// their scalar remainder peel, and both empty edges.
 fn arb_kernel_len() -> impl Strategy<Value = usize> {
     (0usize..4, 0usize..LANES).prop_map(|(chunks, rem)| chunks * LANES + rem)
 }
@@ -265,153 +265,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn scaled_add_lanes_bit_identical(
-        yx in (arb_kernel_len(), arb_kernel_len())
-            .prop_flat_map(|(ny, nx)| (arb_kvec(ny), arb_kvec(nx))),
-        alpha in -4.0f32..4.0,
-    ) {
-        // Lengths drawn independently: both variants must agree on the
-        // truncate-to-shorter semantics too.
-        let (y, x) = yx;
-        let (mut y1, mut y2) = (y.clone(), y);
-        kernels::scaled_add_serial(&mut y1, &x, alpha);
-        kernels::scaled_add_lanes(&mut y2, &x, alpha);
-        prop_assert_eq!(bits(&y1), bits(&y2));
-    }
-
-    #[test]
-    fn gather_lanes_bit_identical_same_access_order(
-        table_idx in (1usize..64, arb_kernel_len()).prop_flat_map(|(t, n)| {
-            (arb_kvec(t), proptest::collection::vec(0u32..t as u32, n))
-        }),
-    ) {
-        let (table, idx) = table_idx;
-        let (mut d1, mut d2) = (vec![0.0f32; idx.len()], vec![0.0f32; idx.len()]);
-        let (mut o1, mut o2) = (Vec::new(), Vec::new());
-        kernels::gather_serial(&mut d1, &idx, |f| { o1.push(f); table[f as usize] });
-        kernels::gather_lanes(&mut d2, &idx, |f| { o2.push(f); table[f as usize] });
-        prop_assert_eq!(bits(&d1), bits(&d2));
-        // The lane variant must also observe the gather callback in the
-        // serial access order (prefetch recording depends on it).
-        prop_assert_eq!(o1, o2);
-    }
-
-    #[test]
-    fn mf_update_rows_lanes_bit_identical(
+    fn order_preserving_dispatchers_match_serial_reference(
         wh in (arb_kernel_len(), arb_kernel_len())
             .prop_flat_map(|(nw, nh)| (arb_kvec(nw), arb_kvec(nh))),
-        coef in -2.0f32..2.0,
+        v in -4.0f32..4.0,
+        step in 0.0f32..0.1,
     ) {
+        // The sgd_mf cell under Exact must equal the seed's inline loop
+        // bit for bit (lengths drawn independently: truncate-to-shorter
+        // semantics too) — the invariant the threaded, TCP and chaos
+        // conformance suites lean on.
         let (w, h) = wh;
         let (mut w1, mut h1) = (w.clone(), h.clone());
+        let pred: f32 = w1.iter().zip(&h1).map(|(x, y)| x * y).sum();
+        let diff = v - pred;
+        let coef = step * 2.0 * diff;
+        for (wx, hx) in w1.iter_mut().zip(h1.iter_mut()) {
+            let (w0, h0) = (*wx, *hx);
+            *wx = w0 + coef * h0;
+            *hx = h0 + coef * w0;
+        }
         let (mut w2, mut h2) = (w, h);
-        kernels::mf_update_rows_serial(&mut w1, &mut h1, coef);
-        kernels::mf_update_rows_lanes(&mut w2, &mut h2, coef);
+        let sq = kernels::mf_row_update(&mut w2, &mut h2, v, step, MathMode::Exact);
         prop_assert_eq!(bits(&w1), bits(&w2));
         prop_assert_eq!(bits(&h1), bits(&h2));
-    }
-
-    #[test]
-    fn cp_update_rows_lanes_bit_identical_same_emit_sequence(
-        uvs in arb_kernel_len()
-            .prop_flat_map(|n| (arb_kvec(n), arb_kvec(n), arb_kvec(n))),
-        g in -1.0f32..1.0,
-    ) {
-        let (u, v, s) = uvs;
-        let (mut u1, mut v1) = (u.clone(), v.clone());
-        let (mut u2, mut v2) = (u, v);
-        let (mut e1, mut e2) = (Vec::new(), Vec::new());
-        kernels::cp_update_rows_serial(&mut u1, &mut v1, &s, g, |c, d| e1.push((c, d.to_bits())));
-        kernels::cp_update_rows_lanes(&mut u2, &mut v2, &s, g, |c, d| e2.push((c, d.to_bits())));
-        prop_assert_eq!(bits(&u1), bits(&u2));
-        prop_assert_eq!(bits(&v1), bits(&v2));
-        prop_assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn topic_cdf_lanes_bit_identical(
-        counts in arb_kernel_len().prop_flat_map(|k| (
-            proptest::collection::vec(0u32..500, k),
-            proptest::collection::vec(0u32..500, k),
-            proptest::collection::vec(-5i64..2_000, k),
-        )),
-        alpha in 0.01f64..2.0,
-        beta in 0.001f64..1.0,
-        vbeta in 0.5f64..100.0,
-    ) {
-        let (dt, wt, ts) = counts;
-        let k = dt.len();
-        let (mut w1, mut w2) = (vec![0.0f64; k], vec![0.0f64; k]);
-        let t1 = kernels::topic_cdf_serial(&dt, &wt, &ts, alpha, beta, vbeta, &mut w1);
-        let t2 = kernels::topic_cdf_lanes(&dt, &wt, &ts, alpha, beta, vbeta, &mut w2);
-        prop_assert_eq!(t1.to_bits(), t2.to_bits());
-        for (a, b) in w1.iter().zip(&w2) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn feature_histogram_lanes_bit_identical(
-        fixture in
-            (arb_kernel_len(), 1usize..4, 2usize..10, 1usize..5).prop_flat_map(
-                |(ns, nf, nb, nodes)| (
-                    Just((ns, nf, nb)),
-                    (
-                        proptest::collection::vec(0.0f32..1.0, ns * nf),
-                        proptest::collection::vec(0usize..nodes, ns),
-                    ),
-                    (
-                        // Some nodes map to a live slot, some to no_slot.
-                        proptest::collection::vec(
-                            prop_oneof![0usize..3, Just(usize::MAX)],
-                            nodes,
-                        ),
-                        proptest::collection::vec(-1.0f64..1.0, ns),
-                    ),
-                )
-            ),
-        feature in 0usize..4,
-    ) {
-        let ((n_samples, n_features, n_bins), (features, assign), (slot_of_node, grads)) = fixture;
-        prop_assume!(feature < n_features);
-        let n_slots = 3;
-        let mut h1 = vec![BinStat::<f64>::default(); n_slots * n_bins];
-        let mut h2 = h1.clone();
-        kernels::feature_histogram_serial(
-            feature, n_samples, n_features, n_bins, &features, &slot_of_node,
-            &assign, &grads, usize::MAX, &mut h1,
-        );
-        kernels::feature_histogram_lanes(
-            feature, n_samples, n_features, n_bins, &features, &slot_of_node,
-            &assign, &grads, usize::MAX, &mut h2,
-        );
-        for (a, b) in h1.iter().zip(&h2) {
-            prop_assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-            prop_assert_eq!(a.count, b.count);
-        }
-    }
-
-    #[test]
-    fn order_preserving_dispatchers_match_serial_reference(
-        yx in arb_kernel_len().prop_flat_map(|n| (arb_kvec(n), arb_kvec(n))),
-        alpha in -2.0f32..2.0,
-    ) {
-        let (y, x) = yx;
-        // Whatever variant the build selects, the dispatcher's result
-        // must equal the serial reference bit for bit — this is the
-        // invariant the threaded/chaos conformance suites lean on when
-        // compiled with `--features simd`.
-        let (mut y1, mut y2) = (y.clone(), y.clone());
-        kernels::scaled_add_serial(&mut y1, &x, alpha);
-        kernels::scaled_add(&mut y2, &x, alpha);
-        prop_assert_eq!(bits(&y1), bits(&y2));
-
-        let (mut w1, mut h1) = (y.clone(), x.clone());
-        let (mut w2, mut h2) = (y, x);
-        kernels::mf_update_rows_serial(&mut w1, &mut h1, alpha);
-        kernels::mf_update_rows(&mut w2, &mut h2, alpha);
-        prop_assert_eq!(bits(&w1), bits(&w2));
-        prop_assert_eq!(bits(&h1), bits(&h2));
+        prop_assert_eq!(sq.to_bits(), (diff as f64).powi(2).to_bits());
     }
 
     #[test]
@@ -420,50 +298,40 @@ proptest! {
         idx in proptest::collection::vec(0u32..64, 0..40),
     ) {
         let (a, b) = ab;
-        // Exact mode is always the serial fold, bit for bit.
+        // Exact is the serial fold and FastMath the lane fold, bit for
+        // bit, in every build.
         let exact = kernels::dot(&a, &b, MathMode::Exact);
         prop_assert_eq!(exact.to_bits(), kernels::dot_serial(&a, &b).to_bits());
-
-        // FastMath is the lane fold when compiled in, otherwise it must
-        // silently fall back to the exact order.
         let fast = kernels::dot(&a, &b, MathMode::FastMath);
-        let want = if kernels::fast_math_available() {
-            kernels::dot_lanes(&a, &b)
-        } else {
-            kernels::dot_serial(&a, &b)
-        };
-        prop_assert_eq!(fast.to_bits(), want.to_bits());
+        prop_assert_eq!(fast.to_bits(), kernels::dot_lanes(&a, &b).to_bits());
 
         let get = |f: u32| (f as f32) * 0.125 - 2.0;
         let gexact = kernels::gather_sum(&idx, get, MathMode::Exact);
         prop_assert_eq!(gexact.to_bits(), kernels::gather_sum_serial(&idx, get).to_bits());
         let gfast = kernels::gather_sum(&idx, get, MathMode::FastMath);
-        let gwant = if kernels::fast_math_available() {
-            kernels::gather_sum_lanes(&idx, get)
-        } else {
-            kernels::gather_sum_serial(&idx, get)
-        };
-        prop_assert_eq!(gfast.to_bits(), gwant.to_bits());
+        prop_assert_eq!(gfast.to_bits(), kernels::gather_sum_lanes(&idx, get).to_bits());
     }
 
     #[test]
     fn reassociated_reductions_near_serial(
-        abs_ in (1usize..4, 0usize..LANES).prop_flat_map(|(c, r)| {
+        ab in (1usize..4, 0usize..LANES).prop_flat_map(|(c, r)| {
             let n = c * LANES + r;
-            (arb_kvec(n), arb_kvec(n), arb_kvec(n))
+            (arb_kvec(n), arb_kvec(n))
         }),
     ) {
-        let (a, b, s) = abs_;
+        let (a, b) = ab;
         // The lane fold reassociates but must stay numerically close —
         // this bounds the drift FastMath can introduce per reduction.
         let n = a.len() as f64;
         let tol = 1e-4 * n.max(1.0);
         let (ds, dl) = (kernels::dot_serial(&a, &b) as f64, kernels::dot_lanes(&a, &b) as f64);
         prop_assert!((ds - dl).abs() <= tol * ds.abs().max(1.0), "dot {ds} vs {dl}");
-        let (ps, pl) = (
-            kernels::cp_predict_serial(&a, &b, &s) as f64,
-            kernels::cp_predict_lanes(&a, &b, &s) as f64,
+        let idx: Vec<u32> = (0..a.len() as u32).collect();
+        let get = |f: u32| a[f as usize];
+        let (gs, gl) = (
+            kernels::gather_sum_serial(&idx, get) as f64,
+            kernels::gather_sum_lanes(&idx, get) as f64,
         );
-        prop_assert!((ps - pl).abs() <= tol * ps.abs().max(1.0), "cp_predict {ps} vs {pl}");
+        prop_assert!((gs - gl).abs() <= tol * gs.abs().max(1.0), "gather_sum {gs} vs {gl}");
     }
 }

@@ -133,10 +133,8 @@ fn nonconforming_body_is_caught() {
 // reduction kernels (dot / gather_sum) into lane-partial sums; the spec
 // it must conform to is: deterministic run to run, and the same
 // convergence as Exact — same objective up to reassociation-level FP
-// noise, never a different trajectory class. Without the `fast-math`
-// feature compiled in, dispatch falls back to Exact, so the trained
-// model must be *bit-identical* — these tests pin both sides of that
-// contract and run under every leg of the CI feature matrix.
+// noise, never a different trajectory class — and different from Exact,
+// so a FastMath that silently ran the serial order would fail here.
 // ---------------------------------------------------------------------------
 
 /// Relative tolerance on final objectives between Exact and FastMath
@@ -149,7 +147,6 @@ fn sgd_mf_fastmath_convergence_equivalence() {
     use orion::apps::sgd_mf::{train_orion, MfConfig, MfRunConfig};
     use orion::core::ClusterSpec;
     use orion::data::{RatingsConfig, RatingsData};
-    use orion::dsm::kernels;
 
     let d = RatingsData::generate(RatingsConfig::tiny());
     let items = d.items();
@@ -158,27 +155,26 @@ fn sgd_mf_fastmath_convergence_equivalence() {
         passes: 5,
         ordered: true,
     };
-    let (exact, _) = train_orion(&d, MfConfig::new(4), &run);
-    let (fast1, _) = train_orion(&d, MfConfig::new(4).fast_math(), &run);
-    let (fast2, _) = train_orion(&d, MfConfig::new(4).fast_math(), &run);
+    // Rank 16 gives the lane dot two full LANES-wide chunks; below
+    // LANES it would degrade to the serial sum and compare equal models.
+    let rank = 16;
+    let (exact, _) = train_orion(&d, MfConfig::new(rank), &run);
+    let (fast1, _) = train_orion(&d, MfConfig::new(rank).fast_math(), &run);
+    let (fast2, _) = train_orion(&d, MfConfig::new(rank).fast_math(), &run);
 
     // FastMath is deterministic: the lane fold has a fixed shape.
     assert_eq!(fast1.w, fast2.w);
     assert_eq!(fast1.h, fast2.h);
+    // It is also really on: the reassociated dot changes the model.
+    assert_ne!(exact.w, fast1.w, "FastMath trained the Exact model");
 
-    if kernels::fast_math_available() {
-        let le = exact.loss(&items);
-        let lf = fast1.loss(&items);
-        assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
-        assert!(
-            (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
-            "exact loss {le} vs fast-math loss {lf}"
-        );
-    } else {
-        // No fast-math in this build: FastMath must have been a no-op.
-        assert_eq!(exact.w, fast1.w);
-        assert_eq!(exact.h, fast1.h);
-    }
+    let le = exact.loss(&items);
+    let lf = fast1.loss(&items);
+    assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
+    assert!(
+        (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
+        "exact loss {le} vs fast-math loss {lf}"
+    );
 }
 
 #[test]
@@ -186,7 +182,6 @@ fn slr_fastmath_convergence_equivalence() {
     use orion::apps::slr::{train_orion, SlrConfig, SlrRunConfig};
     use orion::core::ClusterSpec;
     use orion::data::{SparseConfig, SparseData};
-    use orion::dsm::kernels;
 
     let d = SparseData::generate(SparseConfig::tiny());
     let run = SlrRunConfig {
@@ -199,16 +194,16 @@ fn slr_fastmath_convergence_equivalence() {
     let (fast2, _) = train_orion(&d, SlrConfig::new().fast_math(), &run);
 
     assert_eq!(fast1.weights, fast2.weights);
+    assert_ne!(
+        exact.weights, fast1.weights,
+        "FastMath trained the Exact model"
+    );
 
-    if kernels::fast_math_available() {
-        let le = exact.loss(&d);
-        let lf = fast1.loss(&d);
-        assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
-        assert!(
-            (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
-            "exact loss {le} vs fast-math loss {lf}"
-        );
-    } else {
-        assert_eq!(exact.weights, fast1.weights);
-    }
+    let le = exact.loss(&d);
+    let lf = fast1.loss(&d);
+    assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
+    assert!(
+        (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
+        "exact loss {le} vs fast-math loss {lf}"
+    );
 }

@@ -3,7 +3,9 @@
 //! state to executing the same schedule serially in step order (workers
 //! ascending within a step) — the serialization the simulated engine
 //! realizes. Noncommutative float updates make any reordering visible
-//! bitwise.
+//! bitwise. The same holds end to end for the apps under
+//! `MathMode::FastMath`: reassociating a reduction changes what each
+//! cell computes, never which engine computes it.
 
 use std::sync::Arc;
 
@@ -144,4 +146,63 @@ proptest! {
         // Every worker's recorded log is exactly its program.
         prop_assert_eq!(&out.events[..], plan.programs());
     }
+}
+
+fn bits(a: &DistArray<f32>) -> Vec<u32> {
+    a.to_dense_vec().iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn mf_fastmath_threaded_matches_simulated_bitwise() {
+    use orion::apps::sgd_mf::{train_orion, train_threaded, MfConfig, MfRunConfig};
+    use orion::core::ClusterSpec;
+    use orion::data::{RatingsConfig, RatingsData};
+
+    let d = RatingsData::generate(RatingsConfig::tiny());
+    let (threads, passes) = (4, 3);
+    let run = MfRunConfig {
+        cluster: ClusterSpec::new(1, threads),
+        passes,
+        ordered: false,
+    };
+    // Rank 16: two full lanes-wide chunks, so the FastMath dot really
+    // reassociates.
+    let cfg = MfConfig::new(16).fast_math();
+    let (sim, _) = train_orion(&d, cfg.clone(), &run);
+    let (thr, _) = train_threaded(&d, cfg, threads, passes, false);
+    assert_eq!(bits(&sim.w), bits(&thr.w), "W diverged");
+    assert_eq!(bits(&sim.h), bits(&thr.h), "H diverged");
+
+    let (exact, _) = train_orion(&d, MfConfig::new(16), &run);
+    assert_ne!(
+        bits(&exact.w),
+        bits(&sim.w),
+        "FastMath trained the Exact model"
+    );
+}
+
+#[test]
+fn slr_fastmath_threaded_matches_simulated_bitwise() {
+    use orion::apps::slr::{train_orion, train_threaded, SlrConfig, SlrRunConfig};
+    use orion::core::ClusterSpec;
+    use orion::data::{SparseConfig, SparseData};
+
+    let d = SparseData::generate(SparseConfig::tiny());
+    let (threads, passes) = (4, 3);
+    let run = SlrRunConfig {
+        cluster: ClusterSpec::new(1, threads),
+        passes,
+        prefetch_override: None,
+    };
+    let cfg = SlrConfig::new().fast_math();
+    let (sim, _) = train_orion(&d, cfg.clone(), &run);
+    let (thr, _) = train_threaded(&d, cfg, threads, passes);
+    assert_eq!(bits(&sim.weights), bits(&thr.weights), "weights diverged");
+
+    let (exact, _) = train_orion(&d, SlrConfig::new(), &run);
+    assert_ne!(
+        bits(&exact.weights),
+        bits(&sim.weights),
+        "FastMath trained the Exact model"
+    );
 }
